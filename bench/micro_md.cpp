@@ -27,15 +27,25 @@ md::ParticleVector make_gas(std::int64_t n, const Box& box) {
   return workload::random_gas(n, box, config, rng);
 }
 
-// Box size scaled so density stays at rho* = 0.256 as N grows.
-Box box_for(std::int64_t n) {
-  const double volume = static_cast<double>(n) / 0.256;
+// Box size scaled so density stays at rho* (0.256 unless given) as N grows.
+Box box_for(std::int64_t n, double density = 0.256) {
+  const double volume = static_cast<double>(n) / density;
   return Box::cubic(std::cbrt(volume));
 }
 
-void BM_ForcesCellList(benchmark::State& state) {
+// Arguments of the cell-list force benchmarks: N and rho* in thousandths —
+// 256 for the default sizes, 384 for the paper's Fig. 5 density.
+void force_sizes(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t n : {250, 1000, 4000, 16000}) b->Args({n, 256});
+  b->Args({4000, 384})->Args({16000, 384});
+}
+
+// Times one cell-list sweep (plus the per-step bin rebuild) over every cell;
+// items are candidate pairs, so items/s compares directly across overloads.
+template <typename Sweep>
+void run_force_sweep(benchmark::State& state, Sweep sweep) {
   const auto n = state.range(0);
-  const Box box = box_for(n);
+  const Box box = box_for(n, static_cast<double>(state.range(1)) / 1000.0);
   auto particles = make_gas(n, box);
   const md::CellGrid grid(box, 2.5);
   md::CellBins bins(grid, particles);
@@ -45,14 +55,30 @@ void BM_ForcesCellList(benchmark::State& state) {
   std::uint64_t pairs = 0;
   for (auto _ : state) {
     bins.rebuild(grid, particles);
-    const auto result = md::accumulate_forces(particles, grid, bins, all, lj);
+    const auto result = sweep(particles, grid, bins, all, lj);
     pairs = result.pair_evaluations;
     benchmark::DoNotOptimize(result.potential_energy);
   }
   state.counters["pairs"] = static_cast<double>(pairs);
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(pairs));
 }
-BENCHMARK(BM_ForcesCellList)->Arg(250)->Arg(1000)->Arg(4000)->Arg(16000);
+
+// The SoA workspace overload every engine runs.
+void BM_ForcesCellList(benchmark::State& state) {
+  md::ForceWorkspace workspace;
+  run_force_sweep(state, [&workspace](auto&... args) {
+    return md::accumulate_forces(args..., workspace);
+  });
+}
+BENCHMARK(BM_ForcesCellList)->Apply(force_sizes);
+
+// The straight-line AoS reference the parity battery compares against.
+void BM_ForcesAosReference(benchmark::State& state) {
+  run_force_sweep(state, [](auto&... args) {
+    return md::accumulate_forces(args...);
+  });
+}
+BENCHMARK(BM_ForcesAosReference)->Apply(force_sizes);
 
 void BM_ForcesNaive(benchmark::State& state) {
   const auto n = state.range(0);

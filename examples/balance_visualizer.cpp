@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
     std::fill(column_load.begin(), column_load.end(), 0.0);
     for (const auto& p : particles) {
-      const auto cell = grid.coord_of(grid.cell_of_position(p.position));
+      const auto cell = grid.coord_of_position(p.position);
       column_load[layout.column_id(cell.x, cell.y)] += 1.0;
     }
     std::vector<double> new_time(layout.pe_count(), 0.0);

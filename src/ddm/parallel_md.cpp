@@ -326,7 +326,7 @@ void ParallelMd::verify_step_invariants() const {
 }
 
 int ParallelMd::column_of_position(const Vec3& position) const {
-  const md::CellCoord cell = grid_.coord_of(grid_.cell_of_position(position));
+  const md::CellCoord cell = grid_.coord_of_position(position);
   return layout_.column_id(cell.x, cell.y);
 }
 

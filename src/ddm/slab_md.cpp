@@ -315,7 +315,7 @@ int SlabMd::left(int rank) const {
 int SlabMd::right(int rank) const { return (rank + 1) % config_.pe_count; }
 
 int SlabMd::layer_of_position(const Vec3& position) const {
-  return grid_.coord_of(grid_.cell_of_position(position)).x;
+  return grid_.coord_of_position(position).x;
 }
 
 void SlabMd::cells_of_layers(int lo, int hi, std::vector<int>& cells) const {

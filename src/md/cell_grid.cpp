@@ -123,16 +123,8 @@ CellCoord CellGrid::wrap(CellCoord c) const {
 }
 
 int CellGrid::cell_of_position(const Vec3& p) const {
-  const Vec3 e = cell_edge();
-  int cx = static_cast<int>(p.x / e.x);
-  int cy = static_cast<int>(p.y / e.y);
-  int cz = static_cast<int>(p.z / e.z);
-  // Positions exactly at the upper box face (or nudged there by rounding)
-  // belong to the last cell.
-  cx = std::clamp(cx, 0, nx_ - 1);
-  cy = std::clamp(cy, 0, ny_ - 1);
-  cz = std::clamp(cz, 0, nz_ - 1);
-  return (cz * ny_ + cy) * nx_ + cx;
+  const CellCoord c = coord_of_position(p);
+  return (c.z * ny_ + c.y) * nx_ + c.x;
 }
 
 std::span<const int> CellGrid::stencil(int flat) const {
@@ -226,81 +218,113 @@ ForceResult accumulate_forces(ParticleVector& particles, const CellGrid& grid,
   return result;
 }
 
-PCMD_HOT void ForceWorkspace::load(const ParticleVector& particles,
-                                   const CellBins& bins) {
-  const std::span<const std::int32_t> entries = bins.entries();
-  const std::size_t n = entries.size();
-  x_.resize(n);
-  y_.resize(n);
-  z_.resize(n);
-  id_.resize(n);
-  index_.resize(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const Particle& p = particles[entries[s]];
-    x_[s] = p.position.x;
-    y_[s] = p.position.y;
-    z_[s] = p.position.z;
-    id_[s] = p.id;
-    index_[s] = entries[s];
-  }
+namespace {
+// min_image_component spelled as two selects. The comparisons and the
+// arithmetic are the same (half == 0.5 * len, and -half == -0.5 * len
+// exactly), so every input folds to the same bits; the select form is what
+// lets the distance pass vectorise.
+PCMD_HOT inline double fold_min_image(double d, double len, double half) {
+  const double low = d < -half ? d + len : d;
+  return d > half ? d - len : low;
 }
+}  // namespace
 
-// SoA fast path. Same sweep order as the reference above (sorted stencil,
-// id-sorted bins, same-id skip) and per-pair arithmetic spelled exactly like
-// the reference's (minimum image per component, left-associated r2 sum,
-// identical LJ expressions via the fused kernel), so the accumulated sums
-// round identically and the scattered forces are bitwise equal.
+// SoA fast path, four passes per target cell:
+//   1. gather the stencil's positions/ids from the AoS particles into
+//      contiguous scratch, in sweep order (ascending stencil cell, id order
+//      inside each bin);
+//   2. per target particle, r2 to every candidate in one branch-free loop;
+//   3. compact the candidates inside the cut-off with a different id,
+//      keeping their order;
+//   4. run the LJ kernel on the survivors and accumulate sequentially.
+// Out-of-cutoff candidates contribute nothing in the reference, so skipping
+// them leaves the accumulation sequence — and every sum — bitwise identical.
 PCMD_HOT ForceResult accumulate_forces(ParticleVector& particles,
                                        const CellGrid& grid,
                                        const CellBins& bins,
                                        std::span<const int> target_cells,
                                        const LennardJones& lj,
                                        ForceWorkspace& workspace) {
-  workspace.load(particles, bins);
   ForceResult result;
-  const Vec3 box_length = grid.box().length;
+  const Vec3 len = grid.box().length;
+  const Vec3 half = 0.5 * len;
   const double cutoff2 = lj.cutoff2();
-  const double* const xs = workspace.x_.data();
-  const double* const ys = workspace.y_.data();
-  const double* const zs = workspace.z_.data();
-  const std::int64_t* const ids = workspace.id_.data();
+  const std::span<const std::int32_t> entries = bins.entries();
   const std::span<const std::int32_t> offsets = bins.offsets();
   for (const int c : target_cells) {
-    const std::span<const int> sten = grid.stencil(c);
+    if (offsets[c] == offsets[c + 1]) continue;
+    const std::span<const int> stencil = grid.stencil(c);
+    std::size_t m = 0;
+    for (const int nc : stencil) m += offsets[nc + 1] - offsets[nc];
+    // Grow-only: capacity tracks the densest stencil seen so far.
+    if (workspace.x_.size() < m) {
+      workspace.x_.resize(m);
+      workspace.y_.resize(m);
+      workspace.z_.resize(m);
+      workspace.id_.resize(m);
+      workspace.r2_.resize(m);
+      workspace.keep_.resize(m);
+    }
+    std::size_t slot = 0;
+    for (const int nc : stencil) {
+      for (std::int32_t e = offsets[nc]; e < offsets[nc + 1]; ++e, ++slot) {
+        const Particle& q = particles[entries[e]];
+        workspace.x_[slot] = q.position.x;
+        workspace.y_[slot] = q.position.y;
+        workspace.z_[slot] = q.position.z;
+        workspace.id_[slot] = q.id;
+      }
+    }
+    const double* const gx = workspace.x_.data();
+    const double* const gy = workspace.y_.data();
+    const double* const gz = workspace.z_.data();
+    const std::int64_t* const gid = workspace.id_.data();
+    double* const r2s = workspace.r2_.data();
+    std::int32_t* const keep = workspace.keep_.data();
     for (std::int32_t si = offsets[c]; si < offsets[c + 1]; ++si) {
-      const double px = xs[si];
-      const double py = ys[si];
-      const double pz = zs[si];
-      const std::int64_t pid = ids[si];
+      Particle& p = particles[entries[si]];
+      const double px = p.position.x;
+      const double py = p.position.y;
+      const double pz = p.position.z;
+      const std::int64_t pid = p.id;
+      for (std::size_t k = 0; k < m; ++k) {
+        const double dx = fold_min_image(px - gx[k], len.x, half.x);
+        const double dy = fold_min_image(py - gy[k], len.y, half.y);
+        const double dz = fold_min_image(pz - gz[k], len.z, half.z);
+        r2s[k] = dx * dx + dy * dy + dz * dz;
+      }
+      std::size_t survivors = 0;
+      std::size_t same_id = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        const bool self = gid[k] == pid;
+        keep[survivors] = static_cast<std::int32_t>(k);
+        survivors += static_cast<std::size_t>((r2s[k] < cutoff2) & !self);
+        same_id += static_cast<std::size_t>(self);
+      }
       double fx = 0.0;
       double fy = 0.0;
       double fz = 0.0;
       double pe = 0.0;
       double virial = 0.0;
-      std::uint64_t pairs = 0;
-      for (const int nc : sten) {
-        const std::int32_t qe = offsets[nc + 1];
-        for (std::int32_t qi = offsets[nc]; qi < qe; ++qi) {
-          if (ids[qi] == pid) continue;
-          const double dx = min_image_component(px - xs[qi], box_length.x);
-          const double dy = min_image_component(py - ys[qi], box_length.y);
-          const double dz = min_image_component(pz - zs[qi], box_length.z);
-          const double r2 = dx * dx + dy * dy + dz * dz;
-          ++pairs;
-          if (r2 < cutoff2) {
-            const PairKernelResult k = lj.pair_kernel(r2);
-            fx += dx * k.force_over_r;
-            fy += dy * k.force_over_r;
-            fz += dz * k.force_over_r;
-            pe += 0.5 * k.potential;
-            virial += 0.5 * k.force_over_r * r2;
-          }
-        }
+      for (std::size_t j = 0; j < survivors; ++j) {
+        const std::int32_t k = keep[j];
+        const double dx = fold_min_image(px - gx[k], len.x, half.x);
+        const double dy = fold_min_image(py - gy[k], len.y, half.y);
+        const double dz = fold_min_image(pz - gz[k], len.z, half.z);
+        const double r2 = r2s[k];
+        const PairKernelResult kern = lj.pair_kernel(r2);
+        fx += dx * kern.force_over_r;
+        fy += dy * kern.force_over_r;
+        fz += dz * kern.force_over_r;
+        pe += 0.5 * kern.potential;
+        virial += 0.5 * kern.force_over_r * r2;
       }
-      particles[workspace.index_[si]].force = Vec3{fx, fy, fz};
+      p.force = Vec3{fx, fy, fz};
       result.potential_energy += pe;
       result.virial += virial;
-      result.pair_evaluations += pairs;
+      // Every same-id slot is skipped and not counted, exactly as in the
+      // reference sweep; everything else is one candidate pair.
+      result.pair_evaluations += m - same_id;
     }
   }
   return result;

@@ -13,6 +13,7 @@
 #include "util/hot.hpp"
 #include "util/pbc.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -75,6 +76,19 @@ class CellGrid {
   // Cell containing a position in the primary image.
   int cell_of_position(const Vec3& p) const;
 
+  // Coordinates of cell_of_position(p), without the flatten/unflatten round
+  // trip and its range check (the clamp already keeps them in range). Inline:
+  // the engines call it per particle several times per step.
+  PCMD_HOT CellCoord coord_of_position(const Vec3& p) const {
+    // Positions exactly at the upper box face (or nudged there by rounding)
+    // belong to the last cell.
+    const auto axis = [](double x, double length, int n) {
+      return std::clamp(static_cast<int>(x / (length / n)), 0, n - 1);
+    };
+    return {axis(p.x, box_.length.x, nx_), axis(p.y, box_.length.y, ny_),
+            axis(p.z, box_.length.z, nz_)};
+  }
+
   // Sorted unique stencil (self + up to 26 neighbours) of a cell.
   std::span<const int> stencil(int flat) const;
 
@@ -105,7 +119,7 @@ class CellBins {
 
   // CSR views over all bins: entries() holds the particle indices grouped by
   // cell (each bin sorted by particle id), offsets() the per-cell ranges.
-  // The force workspace packs its SoA arrays in exactly this order.
+  // The force sweep gathers each stencil in exactly this order.
   std::span<const std::int32_t> entries() const { return entries_; }
   std::span<const std::int32_t> offsets() const { return offsets_; }
 
@@ -130,19 +144,12 @@ struct ForceResult {
   std::uint64_t pair_evaluations = 0;  // distance computations performed
 };
 
-// Packed SoA working set for the force kernel: positions and ids of every
-// binned particle, laid out in CellBins CSR order so the inner pair loop
-// streams through contiguous arrays instead of striding across 80-byte
-// Particle records. load() reuses capacity across steps — a workspace that
-// has reached its steady-state size never allocates again.
+// Caller-owned scratch of the SoA force sweep: the positions and ids of one
+// target cell's stencil, gathered from the AoS particles in sweep order,
+// plus r2 and the surviving candidate slots per target particle. Sized to
+// the densest stencil population seen and grow-only, so a workspace that has
+// reached its steady-state size never allocates again.
 class ForceWorkspace {
- public:
-  // Gathers positions/ids from the canonical AoS particles into SoA arrays,
-  // one slot per CellBins entry (same order).
-  PCMD_HOT void load(const ParticleVector& particles, const CellBins& bins);
-
-  std::size_t size() const { return index_.size(); }
-
  private:
   friend ForceResult accumulate_forces(ParticleVector& particles,
                                        const CellGrid& grid,
@@ -155,7 +162,8 @@ class ForceWorkspace {
   std::vector<double> y_;
   std::vector<double> z_;
   std::vector<std::int64_t> id_;
-  std::vector<std::int32_t> index_;  // slot -> index into the particle vector
+  std::vector<double> r2_;
+  std::vector<std::int32_t> keep_;  // surviving candidate slots, in order
 };
 
 // Computes forces for all particles that reside in `target_cells`, scanning
@@ -174,10 +182,14 @@ ForceResult accumulate_forces(ParticleVector& particles, const CellGrid& grid,
                               std::span<const int> target_cells,
                               const LennardJones& lj);
 
-// SoA fast path: packs the working set through `workspace`, runs the same
-// sweep in the same order with the same per-pair arithmetic (fused LJ
-// kernel, inline minimum image), and scatters forces back to the canonical
-// AoS particles. Bitwise identical results to the reference overload.
+// SoA fast path, the one every engine runs. Per target cell it gathers the
+// stencil once, computes r2 to every candidate in a branch-free
+// (vectorisable) loop, compacts the candidates inside the cut-off with a
+// different id, and runs the fused LJ kernel on those survivors only, in
+// sweep order. Pairs beyond the cut-off add nothing in the reference either,
+// so forces, energy and virial are bitwise identical to the reference
+// overload; pair_evaluations is the same candidate count (stencil population
+// minus same-id slots) that the cost model charges.
 ForceResult accumulate_forces(ParticleVector& particles, const CellGrid& grid,
                               const CellBins& bins,
                               std::span<const int> target_cells,

@@ -64,6 +64,34 @@ TEST(CellGrid, PositionAtUpperFaceClampsToLastCell) {
             grid.cell_of_position({9.999, 5.0, 5.0}));
 }
 
+TEST(CellGrid, CoordOfPositionOnFacesAndClamps) {
+  // 15 x 10 x 7.5 in 6 x 4 x 3 cells: every edge is 2.5.
+  const CellGrid grid(Box{Vec3{15.0, 10.0, 7.5}}, 6, 4, 3);
+  EXPECT_EQ(grid.coord_of_position({0.0, 0.0, 0.0}), (CellCoord{0, 0, 0}));
+  EXPECT_EQ(grid.coord_of_position({2.5, 5.0, 7.4}), (CellCoord{1, 2, 2}));
+  EXPECT_EQ(grid.coord_of_position({14.99, 2.49, 2.5}), (CellCoord{5, 0, 1}));
+  // The upper box face and rounding just below 0 clamp into the grid.
+  EXPECT_EQ(grid.coord_of_position({15.0, 10.0, 7.5}), (CellCoord{5, 3, 2}));
+  EXPECT_EQ(grid.coord_of_position({-1e-12, 3.0, 7.5}), (CellCoord{0, 1, 2}));
+}
+
+TEST(CellGrid, CoordOfPositionDividesByTheCellEdge) {
+  // Edges that are inexact in binary put k * edge on a rounding boundary,
+  // where e.g. x * n / L would bin differently: the coordinates must be the
+  // division by cell_edge() that cell_of_position has always used.
+  const CellGrid grid(Box{Vec3{7.3, 11.1, 13.7}}, 3, 5, 6);
+  const Vec3 e = grid.cell_edge();
+  for (int k = 0; k <= 6; ++k) {
+    const Vec3 p{k * e.x, k * e.y, k * e.z};
+    const CellCoord expected{
+        std::clamp(static_cast<int>(p.x / e.x), 0, grid.nx() - 1),
+        std::clamp(static_cast<int>(p.y / e.y), 0, grid.ny() - 1),
+        std::clamp(static_cast<int>(p.z / e.z), 0, grid.nz() - 1)};
+    EXPECT_EQ(grid.coord_of_position(p), expected) << "k = " << k;
+    EXPECT_EQ(grid.flat_index(expected), grid.cell_of_position(p));
+  }
+}
+
 TEST(CellGrid, StencilHas27CellsOnLargeGrid) {
   const CellGrid grid(Box::cubic(15.0), 2.5);  // 6x6x6
   for (int flat : {0, 17, 100, 215}) {

@@ -1,9 +1,9 @@
 // Bitwise-parity battery for the SoA force fast path.
 //
-// The determinism contract (DESIGN.md) requires the packed-SoA kernel the
+// The determinism contract (DESIGN.md) requires the four-pass SoA kernel the
 // engines run to produce *bit-identical* results to the straight-line AoS
 // reference: same per-pair arithmetic, same ascending-stencil iteration
-// order, same same-id skip. Every comparison here is exact (EXPECT_EQ on
+// order, same same-id skip, and the same candidate count. Every comparison here is exact (EXPECT_EQ on
 // doubles) — a tolerance would hide a reordering that breaks golden
 // regressions and Seq/Thread parity.
 #include "md/cell_grid.hpp"
@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <set>
 
 namespace pcmd::md {
 namespace {
@@ -31,8 +33,48 @@ std::vector<int> all_cells(const CellGrid& grid) {
   return cells;
 }
 
+Particle particle_at(std::int64_t id, const Vec3& position) {
+  Particle p;
+  p.id = id;
+  p.position = position;
+  return p;
+}
+
+// Candidate pairs the sweep must count, derived without CellBins or the
+// stencil table: for every particle homed in a target cell, every particle
+// homed in one of the (deduplicated) 27 surrounding cells, minus same-id
+// slots.
+std::uint64_t independent_candidate_count(const CellGrid& grid,
+                                          const ParticleVector& particles,
+                                          std::span<const int> targets) {
+  std::uint64_t count = 0;
+  for (const int c : targets) {
+    const CellCoord cc = grid.coord_of(c);
+    std::set<int> neighbourhood;
+    for (int dz = -1; dz <= 1; ++dz) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          neighbourhood.insert(
+              grid.flat_index({cc.x + dx, cc.y + dy, cc.z + dz}));
+        }
+      }
+    }
+    for (const Particle& p : particles) {
+      if (grid.cell_of_position(p.position) != c) continue;
+      for (const Particle& q : particles) {
+        if (q.id != p.id &&
+            neighbourhood.count(grid.cell_of_position(q.position)) != 0) {
+          ++count;
+        }
+      }
+    }
+  }
+  return count;
+}
+
 // Exact comparison of every targeted particle's force plus the sweep
-// accumulators between the AoS reference and the SoA overload.
+// accumulators between the AoS reference and the SoA overload; the pair
+// count must also equal the independently counted candidate total.
 void expect_bitwise_parity(const CellGrid& grid, ParticleVector particles,
                            std::span<const int> targets,
                            const LennardJones& lj) {
@@ -40,12 +82,16 @@ void expect_bitwise_parity(const CellGrid& grid, ParticleVector particles,
   ParticleVector reference = particles;
   const auto expected =
       accumulate_forces(reference, grid, bins, targets, lj);
+  // A fixture with two distinct ids at one point would compare NaN to NaN.
+  ASSERT_TRUE(std::isfinite(expected.potential_energy));
   ForceWorkspace workspace;
   const auto actual =
       accumulate_forces(particles, grid, bins, targets, lj, workspace);
   EXPECT_EQ(actual.potential_energy, expected.potential_energy);
   EXPECT_EQ(actual.virial, expected.virial);
   EXPECT_EQ(actual.pair_evaluations, expected.pair_evaluations);
+  EXPECT_EQ(actual.pair_evaluations,
+            independent_candidate_count(grid, particles, targets));
   ASSERT_EQ(particles.size(), reference.size());
   for (std::size_t i = 0; i < particles.size(); ++i) {
     EXPECT_EQ(particles[i].force.x, reference[i].force.x) << "particle " << i;
@@ -89,6 +135,109 @@ TEST(ForceParity, SoaMatchesAosWithTinyCutoff) {
   const CellGrid grid(box, 2.5);
   expect_bitwise_parity(grid, random_particles(300, box, 17),
                         all_cells(grid), LennardJones(1.1));
+}
+
+TEST(ForceParity, SoaMatchesAosOnOneAndTwoCellAxes) {
+  // One cell along x and two along y: the stencil is deduplicated to the
+  // whole axis, and every candidate along x is reached only through the
+  // minimum-image fold inside the stencil.
+  const Box box{Vec3{5.0, 6.0, 12.5}};
+  const CellGrid grid(box, 1, 2, 5);
+  ASSERT_EQ(grid.stencil(0).size(), 6u);
+  expect_bitwise_parity(grid, random_particles(80, box, 31), all_cells(grid),
+                        LennardJones(2.5));
+  const Box tiny = Box::cubic(5.5);
+  const CellGrid single(tiny, 1, 1, 1);
+  expect_bitwise_parity(single, random_particles(30, tiny, 37),
+                        all_cells(single), LennardJones(2.5));
+  const CellGrid two(tiny, 2, 2, 2);
+  expect_bitwise_parity(two, random_particles(30, tiny, 37), all_cells(two),
+                        LennardJones(2.5));
+}
+
+TEST(ForceParity, SoaMatchesAosOnCellAndBoxFaces) {
+  // Particles exactly on interior cell faces, on the lower box face 0 and on
+  // the upper box face L (binned into the last cell by the clamp), so
+  // several displacements land exactly on +-L/2 and on the fold thresholds.
+  const Box box = Box::cubic(10.0);
+  const CellGrid grid(box, 2.5);
+  ParticleVector particles;
+  std::int64_t id = 0;
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      particles.push_back(particle_at(
+          id++, {2.5 * i, 2.5 * j + 1.0, 2.5 * ((i + j) % 4)}));
+    }
+  }
+  for (int j = 0; j < 4; ++j) {
+    particles.push_back(particle_at(id++, {10.0, 2.5 * j + 2.0, 1.3}));
+    particles.push_back(particle_at(id++, {3.7, 10.0, 2.5 * j + 0.4}));
+    particles.push_back(particle_at(id++, {2.5 * j + 1.8, 6.2, 10.0}));
+    particles.push_back(particle_at(id++, {2.5 * j, 5.0, 8.9}));
+  }
+  particles.push_back(particle_at(id++, {10.0, 10.0, 10.0}));
+  particles.push_back(particle_at(id++, {5.0, 0.0, 5.0}));
+  expect_bitwise_parity(grid, particles, all_cells(grid), LennardJones(2.5));
+}
+
+TEST(ForceParity, SoaMatchesAosWithDuplicatedIds) {
+  // Halo-copy semantics: a particle may be present more than once under
+  // one id. Every copy must be skipped by every other copy (and left out
+  // of the pair count), whether it sits on the original or elsewhere.
+  const Box box = Box::cubic(12.5);
+  const CellGrid grid(box, 2.5);
+  auto particles = random_particles(200, box, 41);
+  for (std::size_t i = 0; i < 20; ++i) {
+    Particle copy = particles[i];
+    if (i % 2 == 1) {
+      copy.position = wrap(particles[i + 100].position + Vec3{0.4, 0.3, 0.2},
+                           box);
+    }
+    particles.push_back(copy);
+  }
+  particles.push_back(particles[0]);  // a third copy
+  expect_bitwise_parity(grid, particles, all_cells(grid), LennardJones(2.5));
+}
+
+TEST(ForceParity, SoaMatchesAosWithShiftedEnergy) {
+  const Box box = Box::cubic(12.5);
+  const CellGrid grid(box, 2.5);
+  expect_bitwise_parity(grid, random_particles(350, box, 43),
+                        all_cells(grid), LennardJones(2.5, true));
+}
+
+TEST(ForceParity, SoaMatchesAosOnEmptyTargetCells) {
+  // A sparse system: most target cells are empty, and one sweep targets only
+  // empty cells (nothing to do, nothing counted).
+  const Box box = Box::cubic(15.0);
+  const CellGrid grid(box, 2.5);
+  const auto particles = random_particles(12, box, 47);
+  expect_bitwise_parity(grid, particles, all_cells(grid), LennardJones(2.5));
+  const CellBins bins(grid, particles);
+  std::vector<int> empty;
+  for (int c = 0; c < grid.num_cells(); ++c) {
+    if (bins.cell(c).empty()) empty.push_back(c);
+  }
+  ASSERT_GT(empty.size(), 150u);
+  expect_bitwise_parity(grid, particles, empty, LennardJones(2.5));
+  expect_bitwise_parity(grid, ParticleVector{}, all_cells(grid),
+                        LennardJones(2.5));
+}
+
+TEST(ForceParity, SoaMatchesAosWhenScratchGrowsMidSweep) {
+  // A sparse gas with one very dense cell in the middle of the sweep: the
+  // per-cell scratch is sized by the early sparse stencils and must grow
+  // when the sweep reaches the dense one.
+  const Box box = Box::cubic(12.5);
+  const CellGrid grid(box, 2.5);
+  auto particles = random_particles(40, box, 53);
+  pcmd::Rng rng(59);
+  std::int64_t id = 1000;
+  for (int i = 0; i < 150; ++i) {
+    particles.push_back(particle_at(
+        id++, Vec3{5.0, 5.0, 5.0} + rng.uniform_in_box({2.5, 2.5, 2.5})));
+  }
+  expect_bitwise_parity(grid, particles, all_cells(grid), LennardJones(2.5));
 }
 
 TEST(ForceParity, WorkspaceReuseAcrossShrinkingLoads) {
