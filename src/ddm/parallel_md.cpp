@@ -114,52 +114,46 @@ void ParallelMd::init_fresh(const Box& box,
 }
 
 void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
-  sim::Unpacker unpacker(md::open_checkpoint(md::CheckpointKind::kParallel,
-                                             checkpoint));
-  try {
-    const auto pe_side = unpacker.get<std::int32_t>();
-    const auto m = unpacker.get<std::int32_t>();
-    if (pe_side != config_.pe_side || m != config_.m) {
-      throw md::CheckpointError(
-          "ParallelMd: checkpoint decomposition (pe_side=" +
-          std::to_string(pe_side) + ", m=" + std::to_string(m) +
-          ") does not match the config");
-    }
-    step_count_ = unpacker.get<std::int64_t>();
-    box_ = unpacker.get<Box>();
-    grid_ = md::CellGrid(box_, layout_.cells_axis(), layout_.cells_axis(),
-                         layout_.cells_axis());
-    if (!grid_.covers_cutoff(config_.cutoff)) {
-      throw md::CheckpointError(
-          "ParallelMd: checkpointed box too small for this cut-off");
-    }
-    std::vector<double> last_busy(static_cast<std::size_t>(layout_.pe_count()),
-                                  0.0);
-    ranks_.reserve(layout_.pe_count());
-    for (int r = 0; r < layout_.pe_count(); ++r) {
-      auto rank = std::make_unique<Rank>(layout_);
-      rank->owned = unpacker.get_vector<md::Particle>();
-      const auto owners = unpacker.get_vector<std::int32_t>();
-      if (static_cast<int>(owners.size()) != layout_.num_columns()) {
-        throw md::CheckpointError(
-            "ParallelMd: checkpoint column table has the wrong size");
-      }
-      for (int col = 0; col < layout_.num_columns(); ++col) {
-        rank->map.set_owner(col, owners[static_cast<std::size_t>(col)]);
-      }
-      last_busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
-      rank->force_seconds = unpacker.get<double>();
-      ranks_.push_back(std::move(rank));
-    }
-    if (!unpacker.exhausted()) {
-      throw md::CheckpointError(
-          "ParallelMd: trailing bytes in checkpoint payload");
-    }
-    finish_construction(true, last_busy);
-  } catch (const std::out_of_range& e) {
-    throw md::CheckpointError(std::string("ParallelMd: truncated checkpoint: ") +
-                             e.what());
-  }
+  const auto last_busy = md::decode_checkpoint(
+      md::CheckpointKind::kParallel, "ParallelMd checkpoint", checkpoint,
+      [&](sim::Unpacker& unpacker) {
+        const auto pe_side = unpacker.get<std::int32_t>();
+        const auto m = unpacker.get<std::int32_t>();
+        if (pe_side != config_.pe_side || m != config_.m) {
+          throw md::CheckpointError(
+              "ParallelMd: checkpoint decomposition (pe_side=" +
+              std::to_string(pe_side) + ", m=" + std::to_string(m) +
+              ") does not match the config");
+        }
+        step_count_ = unpacker.get<std::int64_t>();
+        box_ = unpacker.get<Box>();
+        grid_ = md::CellGrid(box_, layout_.cells_axis(), layout_.cells_axis(),
+                             layout_.cells_axis());
+        if (!grid_.covers_cutoff(config_.cutoff)) {
+          throw md::CheckpointError(
+              "ParallelMd: checkpointed box too small for this cut-off");
+        }
+        std::vector<double> busy(static_cast<std::size_t>(layout_.pe_count()),
+                                 0.0);
+        ranks_.reserve(layout_.pe_count());
+        for (int r = 0; r < layout_.pe_count(); ++r) {
+          auto rank = std::make_unique<Rank>(layout_);
+          rank->owned = unpacker.get_vector<md::Particle>();
+          const auto owners = unpacker.get_vector<std::int32_t>();
+          if (static_cast<int>(owners.size()) != layout_.num_columns()) {
+            throw md::CheckpointError(
+                "ParallelMd: checkpoint column table has the wrong size");
+          }
+          for (int col = 0; col < layout_.num_columns(); ++col) {
+            rank->map.set_owner(col, owners[static_cast<std::size_t>(col)]);
+          }
+          busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
+          rank->force_seconds = unpacker.get<double>();
+          ranks_.push_back(std::move(rank));
+        }
+        return busy;
+      });
+  finish_construction(true, last_busy);
 }
 
 void ParallelMd::finish_construction(
@@ -263,7 +257,7 @@ void ParallelMd::run_init_phases() {
 }
 
 sim::Buffer ParallelMd::checkpoint() const {
-  sim::Packer packer;
+  sim::Packer packer(md::kCheckpointHeaderBytes);
   packer.put(static_cast<std::int32_t>(config_.pe_side));
   packer.put(static_cast<std::int32_t>(config_.m));
   packer.put(step_count_);
@@ -281,7 +275,7 @@ sim::Buffer ParallelMd::checkpoint() const {
     packer.put(rank.last_busy);
     packer.put(rank.force_seconds);
   }
-  return md::seal_checkpoint(md::CheckpointKind::kParallel, packer.take());
+  return md::seal_checkpoint(md::CheckpointKind::kParallel, packer);
 }
 
 ParallelMd::~ParallelMd() {

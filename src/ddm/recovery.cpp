@@ -8,45 +8,39 @@
 namespace pcmd::ddm {
 
 sim::Buffer pack_rank_envelope(const RankEnvelope& envelope) {
-  sim::Packer packer;
+  sim::Packer packer(md::kCheckpointHeaderBytes);
   packer.put(envelope.role);
   packer.put(envelope.generation);
   packer.put(envelope.last_busy);
   packer.put(envelope.force_seconds);
   packer.put_vector(envelope.owned);
   packer.put_vector(envelope.owners);
-  return md::seal_checkpoint(md::CheckpointKind::kBuddy, packer.take());
+  return md::seal_checkpoint(md::CheckpointKind::kBuddy, packer);
 }
 
 RankEnvelope unpack_rank_envelope(sim::Buffer sealed, int expect_columns) {
-  try {
-    sim::Unpacker unpacker(
-        md::open_checkpoint(md::CheckpointKind::kBuddy, std::move(sealed)));
-    RankEnvelope envelope;
-    envelope.role = unpacker.get<std::int32_t>();
-    envelope.generation = unpacker.get<std::int64_t>();
-    envelope.last_busy = unpacker.get<double>();
-    envelope.force_seconds = unpacker.get<double>();
-    envelope.owned = unpacker.get_vector<md::Particle>();
-    envelope.owners = unpacker.get_vector<std::int32_t>();
-    if (!unpacker.exhausted()) {
-      throw md::CheckpointError("buddy envelope: trailing bytes");
-    }
-    if (envelope.role < 0 || envelope.generation < 0) {
-      throw md::CheckpointError("buddy envelope: negative role or generation");
-    }
-    if (static_cast<int>(envelope.owners.size()) != expect_columns) {
-      throw md::CheckpointError(
-          "buddy envelope: column-map view has " +
-          std::to_string(envelope.owners.size()) + " columns, expected " +
-          std::to_string(expect_columns));
-    }
-    return envelope;
-  } catch (const std::out_of_range& error) {
-    // Unpacker underflow / oversized vector count: same failure class as a
-    // malformed envelope. Normalise so callers catch one type.
-    throw md::CheckpointError(std::string("buddy envelope: ") + error.what());
+  RankEnvelope envelope = md::decode_checkpoint(
+      md::CheckpointKind::kBuddy, "buddy envelope", std::move(sealed),
+      [](sim::Unpacker& unpacker) {
+        RankEnvelope decoded;
+        decoded.role = unpacker.get<std::int32_t>();
+        decoded.generation = unpacker.get<std::int64_t>();
+        decoded.last_busy = unpacker.get<double>();
+        decoded.force_seconds = unpacker.get<double>();
+        decoded.owned = unpacker.get_vector<md::Particle>();
+        decoded.owners = unpacker.get_vector<std::int32_t>();
+        return decoded;
+      });
+  if (envelope.role < 0 || envelope.generation < 0) {
+    throw md::CheckpointError("buddy envelope: negative role or generation");
   }
+  if (static_cast<int>(envelope.owners.size()) != expect_columns) {
+    throw md::CheckpointError(
+        "buddy envelope: column-map view has " +
+        std::to_string(envelope.owners.size()) + " columns, expected " +
+        std::to_string(expect_columns));
+  }
+  return envelope;
 }
 
 Watchdog::Report Watchdog::inspect(double total_energy, bool rebase,

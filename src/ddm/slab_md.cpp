@@ -22,32 +22,11 @@ enum SlabTag : int {
   kSlabInitHalo = 105,
 };
 
-struct SlabInfo {
-  double busy = 0.0;
-  std::int32_t lo = 0;
-  std::int32_t hi = 0;
-  double low_layer_load = 0.0;   // load of the layer at `lo`
-  double high_layer_load = 0.0;  // load of the layer at `hi - 1`
-  double total_load = 0.0;
-};
-static_assert(std::is_trivially_copyable_v<SlabInfo>);
-
-sim::Buffer pack_info(const SlabInfo& info) {
-  sim::Packer packer;
-  packer.put(info);
-  return seal_payload(packer.take());
-}
-
-SlabInfo unpack_info(sim::Buffer buffer) {
-  sim::Unpacker unpacker(open_payload("slab_info", std::move(buffer)));
-  return unpacker.get<SlabInfo>();
-}
-
 // Shift decision for one boundary between `a` (left, owns up to the
-// boundary) and `b` (right, owns from the boundary). Returns +1 when a
-// layer moves left->right... no: returns -1 when the boundary moves left
-// (right grows), +1 when it moves right (left grows), 0 for no shift. Both
-// participants call this with the same arguments, so they always agree.
+// boundary) and `b` (right, owns from the boundary): -1 when the boundary
+// moves left (a sheds its highest layer to b), +1 when it moves right (b
+// sheds its lowest layer to a), 0 for no shift. Both participants call this
+// with the same arguments, so they always agree.
 int boundary_shift(const SlabInfo& a, const SlabInfo& b, bool avoid_overshoot) {
   const int a_layers = a.hi - a.lo;
   const int b_layers = b.hi - b.lo;
@@ -146,55 +125,52 @@ void SlabMd::init_fresh(const Box& box, const md::ParticleVector& initial) {
 }
 
 void SlabMd::init_resume(const sim::Buffer& checkpoint) {
-  sim::Unpacker unpacker(
-      md::open_checkpoint(md::CheckpointKind::kSlab, checkpoint));
-  try {
-    const auto pe_count = unpacker.get<std::int32_t>();
-    if (pe_count != config_.pe_count) {
-      throw md::CheckpointError("SlabMd: checkpoint ring size (pe_count=" +
-                               std::to_string(pe_count) +
-                               ") does not match the config");
-    }
-    const auto layers = unpacker.get<std::int32_t>();
-    step_count_ = unpacker.get<std::int64_t>();
-    box_ = unpacker.get<Box>();
-    grid_ = config_.cells_per_axis > 0
-                ? md::CellGrid(box_, config_.cells_per_axis,
-                               config_.cells_per_axis, config_.cells_per_axis)
-                : md::CellGrid(box_, config_.cutoff);
-    if (grid_.nx() != layers) {
-      throw md::CheckpointError(
-          "SlabMd: checkpoint layer count (" + std::to_string(layers) +
-          ") does not match the config's grid (" + std::to_string(grid_.nx()) +
-          ")");
-    }
-    if (!grid_.covers_cutoff(config_.cutoff)) {
-      throw md::CheckpointError(
-          "SlabMd: checkpointed box too small for this cut-off");
-    }
-    std::vector<double> last_busy(static_cast<std::size_t>(config_.pe_count),
-                                  0.0);
-    ranks_.reserve(config_.pe_count);
-    for (int r = 0; r < config_.pe_count; ++r) {
-      auto rank = std::make_unique<Rank>();
-      rank->owned = unpacker.get_vector<md::Particle>();
-      rank->lo = unpacker.get<std::int32_t>();
-      rank->hi = unpacker.get<std::int32_t>();
-      if (rank->hi - rank->lo < 1 || rank->lo < 0 || rank->hi > grid_.nx()) {
-        throw md::CheckpointError("SlabMd: checkpoint slab range invalid");
-      }
-      last_busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
-      rank->force_seconds = unpacker.get<double>();
-      ranks_.push_back(std::move(rank));
-    }
-    if (!unpacker.exhausted()) {
-      throw md::CheckpointError("SlabMd: trailing bytes in checkpoint payload");
-    }
-    finish_construction(true, last_busy);
-  } catch (const std::out_of_range& e) {
-    throw md::CheckpointError(std::string("SlabMd: truncated checkpoint: ") +
-                             e.what());
-  }
+  const auto last_busy = md::decode_checkpoint(
+      md::CheckpointKind::kSlab, "SlabMd checkpoint", checkpoint,
+      [&](sim::Unpacker& unpacker) {
+        const auto pe_count = unpacker.get<std::int32_t>();
+        if (pe_count != config_.pe_count) {
+          throw md::CheckpointError("SlabMd: checkpoint ring size (pe_count=" +
+                                    std::to_string(pe_count) +
+                                    ") does not match the config");
+        }
+        const auto layers = unpacker.get<std::int32_t>();
+        step_count_ = unpacker.get<std::int64_t>();
+        box_ = unpacker.get<Box>();
+        grid_ = config_.cells_per_axis > 0
+                    ? md::CellGrid(box_, config_.cells_per_axis,
+                                   config_.cells_per_axis,
+                                   config_.cells_per_axis)
+                    : md::CellGrid(box_, config_.cutoff);
+        if (grid_.nx() != layers) {
+          throw md::CheckpointError(
+              "SlabMd: checkpoint layer count (" + std::to_string(layers) +
+              ") does not match the config's grid (" +
+              std::to_string(grid_.nx()) + ")");
+        }
+        if (!grid_.covers_cutoff(config_.cutoff)) {
+          throw md::CheckpointError(
+              "SlabMd: checkpointed box too small for this cut-off");
+        }
+        std::vector<double> busy(static_cast<std::size_t>(config_.pe_count),
+                                 0.0);
+        ranks_.reserve(config_.pe_count);
+        for (int r = 0; r < config_.pe_count; ++r) {
+          auto rank = std::make_unique<Rank>();
+          rank->owned = unpacker.get_vector<md::Particle>();
+          rank->lo = unpacker.get<std::int32_t>();
+          rank->hi = unpacker.get<std::int32_t>();
+          if (rank->hi - rank->lo < 1 || rank->lo < 0 ||
+              rank->hi > grid_.nx()) {
+            throw md::CheckpointError("SlabMd: checkpoint slab range invalid");
+          }
+          busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
+          rank->force_seconds = unpacker.get<double>();
+          ranks_.push_back(std::move(rank));
+        }
+        return busy;
+      });
+  finish_construction(true, last_busy);
 }
 
 void SlabMd::finish_construction(bool resume,
@@ -265,7 +241,7 @@ void SlabMd::finish_construction(bool resume,
 }
 
 sim::Buffer SlabMd::checkpoint() const {
-  sim::Packer packer;
+  sim::Packer packer(md::kCheckpointHeaderBytes);
   packer.put(static_cast<std::int32_t>(config_.pe_count));
   packer.put(static_cast<std::int32_t>(grid_.nx()));
   packer.put(step_count_);
@@ -277,7 +253,7 @@ sim::Buffer SlabMd::checkpoint() const {
     packer.put(rank->last_busy);
     packer.put(rank->force_seconds);
   }
-  return md::seal_checkpoint(md::CheckpointKind::kSlab, packer.take());
+  return md::seal_checkpoint(md::CheckpointKind::kSlab, packer);
 }
 
 void SlabMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
@@ -360,18 +336,18 @@ void SlabMd::phase_a_drift_and_times(sim::Comm& comm) {
   // My slab descriptor is shared state read by both ring neighbours in
   // phase B; the kSlabInfo messages order those reads after this write.
   PCMD_HB_ACCESS(comm, "slab-info", comm.rank(), /*is_write=*/true, "drift");
-  send_to(comm, rank, left(comm.rank()), kSlabInfo, pack_info(info));
-  send_to(comm, rank, right(comm.rank()), kSlabInfo, pack_info(info));
+  send_to(comm, rank, left(comm.rank()), kSlabInfo, pack_slab_info(info));
+  send_to(comm, rank, right(comm.rank()), kSlabInfo, pack_slab_info(info));
 }
 
 void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
   const int me = comm.rank();
   Rank& rank = *ranks_[me];
   const SlabInfo left_info =
-      unpack_info(recv_from(comm, rank, left(me), kSlabInfo));
+      unpack_slab_info(recv_from(comm, rank, left(me), kSlabInfo));
   PCMD_HB_ACCESS(comm, "slab-info", left(me), /*is_write=*/false, "shift");
   const SlabInfo right_info =
-      unpack_info(recv_from(comm, rank, right(me), kSlabInfo));
+      unpack_slab_info(recv_from(comm, rank, right(me), kSlabInfo));
   PCMD_HB_ACCESS(comm, "slab-info", right(me), /*is_write=*/false, "shift");
 
   SlabInfo my_info;

@@ -1,10 +1,8 @@
 #include "ddm/wire.hpp"
 
 #include "sim/comm.hpp"
-#include "util/checksum.hpp"
+#include "util/frame.hpp"
 
-#include <cstring>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -12,89 +10,54 @@ namespace pcmd::ddm {
 
 namespace {
 
-constexpr std::uint32_t kWireMagic = 0x504D4457u;  // "PMDW"
+constexpr FrameCodec kWireFrame(0x504D4457u);  // "PMDW", no field words
+static_assert(kWireFrame.header_bytes() == kWireHeaderBytes);
 
-}  // namespace
-
-// Prepends the {magic, crc} wire header to a packed payload.
-sim::Buffer seal_payload(sim::Buffer body) {
-  sim::Buffer out(kWireHeaderBytes + body.size());
-  const std::uint32_t crc = pcmd::crc32(body.data(), body.size());
-  std::memcpy(out.data(), &kWireMagic, sizeof(kWireMagic));
-  std::memcpy(out.data() + 4, &crc, sizeof(crc));
-  if (!body.empty()) {
-    std::memcpy(out.data() + kWireHeaderBytes, body.data(), body.size());
-  }
-  return out;
-}
-
-// Verifies and strips the wire header in place (no reallocation; the body
-// bytes shift down by the header size). Too-short buffers are truncation
-// (ProtocolError); a magic or CRC mismatch is in-flight corruption
-// (ChecksumError).
-sim::Buffer open_payload(const char* what, sim::Buffer buffer) {
-  if (buffer.size() < kWireHeaderBytes) {
-    throw sim::ProtocolError(std::string("unpack_") + what +
-                             ": buffer shorter than the wire header");
-  }
-  std::uint32_t magic = 0;
-  std::uint32_t crc = 0;
-  std::memcpy(&magic, buffer.data(), sizeof(magic));
-  std::memcpy(&crc, buffer.data() + 4, sizeof(crc));
-  const std::uint32_t actual = pcmd::crc32(
-      buffer.data() + kWireHeaderBytes, buffer.size() - kWireHeaderBytes);
-  if (magic != kWireMagic || crc != actual) {
-    throw sim::ChecksumError(std::string("unpack_") + what +
-                             ": checksum mismatch — payload corrupted in "
-                             "flight");
-  }
-  buffer.erase(buffer.begin(), buffer.begin() + kWireHeaderBytes);
+sim::Buffer seal(sim::Packer& packer) {
+  sim::Buffer buffer = packer.take();
+  kWireFrame.seal(buffer.data(), buffer.size());
   return buffer;
 }
 
-namespace {
-
-// Runs one message's unpacking with uniform error handling: a short or
-// misshapen buffer (Unpacker throws std::out_of_range) and trailing bytes
-// both become sim::ProtocolError with the message kind in the text, so a
-// malformed payload reads as the protocol violation it is rather than a
-// generic range error. The wire header is verified (ChecksumError) before
-// any field is read.
+// Checks the wire header in place (a short buffer is truncation, so
+// ProtocolError; a magic or CRC mismatch is in-flight corruption, so
+// ChecksumError), then decodes the payload behind it on the shared checked
+// path: a short or misshapen payload and trailing bytes both become
+// sim::ProtocolError naming the message kind.
 template <typename F>
 auto checked_unpack(const char* what, sim::Buffer buffer, F&& body) {
-  sim::Unpacker unpacker(open_payload(what, std::move(buffer)));
-  try {
-    auto value = body(unpacker);
-    if (!unpacker.exhausted()) {
-      throw sim::ProtocolError(
-          std::string("unpack_") + what + ": " +
-          std::to_string(unpacker.remaining()) +
-          " trailing bytes after the payload");
-    }
-    return value;
-  } catch (const std::out_of_range& e) {
-    throw sim::ProtocolError(std::string("unpack_") + what +
-                             ": malformed payload: " + e.what());
+  const FrameCheck check = kWireFrame.open(buffer.data(), buffer.size());
+  if (check.fault == FrameFault::kShort) {
+    throw sim::ProtocolError(std::string(what) +
+                             ": buffer shorter than the wire header");
   }
+  if (!check.ok()) {
+    throw sim::ChecksumError(std::string(what) +
+                             ": payload corrupted in flight: " +
+                             kWireFrame.describe(check));
+  }
+  return sim::checked_decode<sim::ProtocolError>(
+      what, sim::Unpacker(std::move(buffer), kWireHeaderBytes),
+      std::forward<F>(body));
 }
 }  // namespace
 
 sim::Buffer pack_digest(double busy_seconds,
                         const std::vector<std::int32_t>& columns) {
-  sim::Packer packer;
-  packer.reserve(sizeof(DigestHeader) + sizeof(std::uint64_t) +
-                 columns.size() * sizeof(std::int32_t));
+  sim::Packer packer(kWireHeaderBytes,
+                     sizeof(DigestHeader) + sizeof(std::uint64_t) +
+                         columns.size() * sizeof(std::int32_t));
   DigestHeader header;
   header.busy_seconds = busy_seconds;
   packer.put(header);
   packer.put_vector(columns);
-  return seal_payload(packer.take());
+  return seal(packer);
 }
 
 void unpack_digest(sim::Buffer buffer, double& busy_seconds,
                    std::vector<std::int32_t>& columns) {
   auto result = checked_unpack(
-      "digest", std::move(buffer), [](sim::Unpacker& unpacker) {
+      "unpack_digest", std::move(buffer), [](sim::Unpacker& unpacker) {
         const double busy = unpacker.get<DigestHeader>().busy_seconds;
         return std::pair(busy, unpacker.get_vector<std::int32_t>());
       });
@@ -103,44 +66,56 @@ void unpack_digest(sim::Buffer buffer, double& busy_seconds,
 }
 
 sim::Buffer pack_announce(const AnnounceRecord& record) {
-  sim::Packer packer;
+  sim::Packer packer(kWireHeaderBytes, sizeof(AnnounceRecord));
   packer.put(record);
-  return seal_payload(packer.take());
+  return seal(packer);
 }
 
 AnnounceRecord unpack_announce(sim::Buffer buffer) {
   return checked_unpack(
-      "announce", std::move(buffer),
+      "unpack_announce", std::move(buffer),
       [](sim::Unpacker& unpacker) { return unpacker.get<AnnounceRecord>(); });
 }
 
 sim::Buffer pack_particles(const std::vector<md::Particle>& particles) {
-  sim::Packer packer;
-  packer.reserve(sizeof(std::uint64_t) +
-                 particles.size() * sizeof(md::Particle));
+  sim::Packer packer(kWireHeaderBytes,
+                     sizeof(std::uint64_t) +
+                         particles.size() * sizeof(md::Particle));
   packer.put_vector(particles);
-  return seal_payload(packer.take());
+  return seal(packer);
 }
 
 std::vector<md::Particle> unpack_particles(sim::Buffer buffer) {
-  return checked_unpack("particles", std::move(buffer),
+  return checked_unpack("unpack_particles", std::move(buffer),
                         [](sim::Unpacker& unpacker) {
                           return unpacker.get_vector<md::Particle>();
                         });
 }
 
 sim::Buffer pack_halo(const std::vector<HaloRecord>& records) {
-  sim::Packer packer;
-  packer.reserve(sizeof(std::uint64_t) + records.size() * sizeof(HaloRecord));
+  sim::Packer packer(kWireHeaderBytes,
+                     sizeof(std::uint64_t) + records.size() * sizeof(HaloRecord));
   packer.put_vector(records);
-  return seal_payload(packer.take());
+  return seal(packer);
 }
 
 std::vector<HaloRecord> unpack_halo(sim::Buffer buffer) {
-  return checked_unpack("halo", std::move(buffer),
+  return checked_unpack("unpack_halo", std::move(buffer),
                         [](sim::Unpacker& unpacker) {
                           return unpacker.get_vector<HaloRecord>();
                         });
+}
+
+sim::Buffer pack_slab_info(const SlabInfo& info) {
+  sim::Packer packer(kWireHeaderBytes, sizeof(SlabInfo));
+  packer.put(info);
+  return seal(packer);
+}
+
+SlabInfo unpack_slab_info(sim::Buffer buffer) {
+  return checked_unpack(
+      "unpack_slab_info", std::move(buffer),
+      [](sim::Unpacker& unpacker) { return unpacker.get<SlabInfo>(); });
 }
 
 }  // namespace pcmd::ddm

@@ -1,14 +1,15 @@
 // Wire formats of the SPMD MD engine's per-step messages.
 //
 // Message tags and payload layouts are fixed here so the packing code in the
-// engine and any test double stay in sync. All records are trivially
+// engines and any test double stay in sync. All records are trivially
 // copyable and go through sim::Packer/Unpacker.
 //
-// Every pack_* seals the payload under an 8-byte header {magic, CRC32}; the
-// matching unpack_* verifies it first. A payload whose bytes were flipped in
-// flight throws sim::ChecksumError ("bad link"), while a truncated or
-// misshapen payload throws plain sim::ProtocolError ("bad code") — the
-// fault-injection tests rely on the distinction.
+// Every pack_* seals its payload as a util/frame.hpp frame (magic "PMDW", no
+// field words: an 8-byte {magic, CRC32} header); the matching unpack_*
+// checks it in place first. A payload whose bytes were flipped in flight
+// throws sim::ChecksumError ("bad link"), while a truncated or misshapen
+// payload throws plain sim::ProtocolError ("bad code") — the fault-injection
+// tests rely on the distinction.
 #pragma once
 
 #include "md/particle.hpp"
@@ -50,7 +51,19 @@ struct AnnounceRecord {
 };
 static_assert(std::is_trivially_copyable_v<AnnounceRecord>);
 
-// Bytes pack_* prepends to every payload: {u32 magic, u32 crc32}.
+// Boundary information SlabMd exchanges with both ring neighbours each step.
+struct SlabInfo {
+  double busy = 0.0;
+  std::int32_t lo = 0;
+  std::int32_t hi = 0;
+  double low_layer_load = 0.0;   // load of the layer at `lo`
+  double high_layer_load = 0.0;  // load of the layer at `hi - 1`
+  double total_load = 0.0;
+};
+static_assert(std::is_trivially_copyable_v<SlabInfo>);
+
+// Bytes of the {magic, CRC32} header. Pinned: the header is part of every
+// modelled message's byte count, so it feeds the makespan goldens.
 inline constexpr std::size_t kWireHeaderBytes = 8;
 
 // Packing helpers -----------------------------------------------------------
@@ -73,12 +86,7 @@ std::vector<md::Particle> unpack_particles(sim::Buffer buffer);
 sim::Buffer pack_halo(const std::vector<HaloRecord>& records);
 std::vector<HaloRecord> unpack_halo(sim::Buffer buffer);
 
-// Generic sealed payloads, for engine-local records that do not warrant a
-// named pack_*/unpack_* pair (e.g. the slab engine's boundary-info records):
-// seal_payload prepends the same {magic, crc} header; open_payload verifies
-// and strips it with the same ChecksumError/ProtocolError split, tagging
-// errors with `what`.
-sim::Buffer seal_payload(sim::Buffer body);
-sim::Buffer open_payload(const char* what, sim::Buffer sealed);
+sim::Buffer pack_slab_info(const SlabInfo& info);
+SlabInfo unpack_slab_info(sim::Buffer buffer);
 
 }  // namespace pcmd::ddm

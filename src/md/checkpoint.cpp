@@ -1,134 +1,61 @@
 #include "md/checkpoint.hpp"
 
-#include "util/checksum.hpp"
+#include "util/frame.hpp"
 
-#include <cstdio>
-#include <cstring>
-#include <stdexcept>
+#include <string>
 
 namespace pcmd::md {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x50434B50u;  // "PCKP"
-constexpr std::size_t kEnvelopeBytes = 16;     // magic, version, kind, crc
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
+constexpr FrameCodec kCheckpointFrame(0x50434B50u,  // "PCKP"
+                                      "version", "kind");
+static_assert(kCheckpointFrame.header_bytes() == kCheckpointHeaderBytes);
 
 }  // namespace
 
-sim::Buffer seal_checkpoint(CheckpointKind kind, sim::Buffer payload) {
-  sim::Buffer out(kEnvelopeBytes + payload.size());
-  const std::uint32_t fields[4] = {kMagic, kCheckpointVersion,
-                                   static_cast<std::uint32_t>(kind),
-                                   pcmd::crc32(payload.data(), payload.size())};
-  std::memcpy(out.data(), fields, sizeof(fields));
-  if (!payload.empty()) {
-    std::memcpy(out.data() + kEnvelopeBytes, payload.data(), payload.size());
-  }
-  return out;
+sim::Buffer seal_checkpoint(CheckpointKind kind, sim::Packer& packer) {
+  sim::Buffer sealed = packer.take();
+  kCheckpointFrame.seal(sealed.data(), sealed.size(),
+                        {kCheckpointVersion, static_cast<std::uint32_t>(kind)});
+  return sealed;
 }
 
-sim::Buffer open_checkpoint(CheckpointKind kind, sim::Buffer sealed) {
-  if (sealed.size() < kEnvelopeBytes) {
-    throw CheckpointError("checkpoint: envelope truncated at byte " +
-                          std::to_string(sealed.size()) + " (needs " +
-                          std::to_string(kEnvelopeBytes) + ")");
+void open_checkpoint(CheckpointKind kind, const sim::Buffer& sealed) {
+  const FramePins pins = {kCheckpointVersion,
+                          static_cast<std::uint32_t>(kind)};
+  const FrameCheck check =
+      kCheckpointFrame.open(sealed.data(), sealed.size(), pins);
+  if (!check.ok()) {
+    throw CheckpointError("checkpoint: " +
+                          kCheckpointFrame.describe(check, pins));
   }
-  if (read_u32(sealed.data()) != kMagic) {
-    throw CheckpointError(
-        "checkpoint: bad magic at byte 0 (not a checkpoint)");
-  }
-  const std::uint32_t version = read_u32(sealed.data() + 4);
-  if (version != kCheckpointVersion) {
-    throw CheckpointError("checkpoint: version field at byte 4 is " +
-                          std::to_string(version) + " (expected " +
-                          std::to_string(kCheckpointVersion) + ")");
-  }
-  const std::uint32_t actual_kind = read_u32(sealed.data() + 8);
-  if (actual_kind != static_cast<std::uint32_t>(kind)) {
-    throw CheckpointError(
-        "checkpoint: kind field at byte 8 is " + std::to_string(actual_kind) +
-        ", does not match the restoring engine (" +
-        std::to_string(static_cast<std::uint32_t>(kind)) + ")");
-  }
-  const std::uint32_t crc = read_u32(sealed.data() + 12);
-  if (crc != pcmd::crc32(sealed.data() + kEnvelopeBytes,
-                         sealed.size() - kEnvelopeBytes)) {
-    throw CheckpointError(
-        "checkpoint: payload checksum mismatch (crc field at byte 12)");
-  }
-  return sim::Buffer(sealed.begin() + kEnvelopeBytes, sealed.end());
-}
-
-void write_checkpoint_file(const std::string& path, const sim::Buffer& data) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw CheckpointError("checkpoint: cannot open '" + path +
-                          "' for writing");
-  }
-  const std::size_t written =
-      data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), file);
-  const bool ok = written == data.size() && std::fclose(file) == 0;
-  if (!ok) {
-    throw CheckpointError("checkpoint: short write to '" + path + "' (" +
-                          std::to_string(written) + " of " +
-                          std::to_string(data.size()) + " bytes)");
-  }
-}
-
-sim::Buffer read_checkpoint_file(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw CheckpointError("checkpoint: cannot open '" + path + "'");
-  }
-  sim::Buffer data;
-  std::uint8_t chunk[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    data.insert(data.end(), chunk, chunk + got);
-  }
-  const bool ok = std::feof(file) != 0 && std::ferror(file) == 0;
-  std::fclose(file);
-  if (!ok) {
-    throw CheckpointError("checkpoint: read error on '" + path +
-                          "' at byte " + std::to_string(data.size()));
-  }
-  return data;
 }
 
 sim::Buffer pack_serial_checkpoint(const SerialCheckpoint& state) {
-  sim::Packer packer;
+  sim::Packer packer(kCheckpointHeaderBytes);
   packer.put(state.step);
   packer.put(state.box);
   packer.put_vector(state.particles);
   packer.put(static_cast<std::uint8_t>(state.has_rng ? 1 : 0));
   for (const std::uint64_t word : state.rng_state) packer.put(word);
-  return seal_checkpoint(CheckpointKind::kSerial, packer.take());
+  return seal_checkpoint(CheckpointKind::kSerial, packer);
 }
 
 SerialCheckpoint unpack_serial_checkpoint(sim::Buffer sealed) {
-  sim::Unpacker unpacker(
-      open_checkpoint(CheckpointKind::kSerial, std::move(sealed)));
-  try {
-    SerialCheckpoint state;
-    state.step = unpacker.get<std::int64_t>();
-    state.box = unpacker.get<Box>();
-    state.particles = unpacker.get_vector<Particle>();
-    state.has_rng = unpacker.get<std::uint8_t>() != 0;
-    for (auto& word : state.rng_state) word = unpacker.get<std::uint64_t>();
-    if (!unpacker.exhausted()) {
-      throw CheckpointError("checkpoint: trailing bytes in serial payload");
-    }
-    return state;
-  } catch (const std::out_of_range& e) {
-    throw CheckpointError(std::string("checkpoint: truncated serial payload: ") +
-                          e.what());
-  }
+  return decode_checkpoint(
+      CheckpointKind::kSerial, "checkpoint: serial payload", std::move(sealed),
+      [](sim::Unpacker& unpacker) {
+        SerialCheckpoint state;
+        state.step = unpacker.get<std::int64_t>();
+        state.box = unpacker.get<Box>();
+        state.particles = unpacker.get_vector<Particle>();
+        state.has_rng = unpacker.get<std::uint8_t>() != 0;
+        for (auto& word : state.rng_state) {
+          word = unpacker.get<std::uint64_t>();
+        }
+        return state;
+      });
 }
 
 }  // namespace pcmd::md

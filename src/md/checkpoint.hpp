@@ -1,10 +1,11 @@
 // Versioned checkpoint serialization for the MD engines.
 //
-// A checkpoint is a sealed byte buffer: an envelope {magic, version, kind,
-// CRC32(payload)} followed by an engine-specific payload packed with
-// sim::Packer. The envelope is verified before a single payload field is
-// read, so a truncated, stale-version or bit-flipped checkpoint file fails
-// loudly instead of resurrecting garbage state.
+// A checkpoint is a util/frame.hpp frame — magic "PCKP", field words
+// {version, kind}, CRC32 over both and the payload — around an
+// engine-specific payload packed with sim::Packer. The header is checked
+// before a single payload field is read, so a truncated, stale-version,
+// foreign-kind or bit-flipped checkpoint fails loudly instead of
+// resurrecting garbage state.
 //
 // Restart contract: an engine restored from a checkpoint taken at step S
 // continues the trajectory *bitwise identically* to the uninterrupted run —
@@ -23,15 +24,18 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace pcmd::md {
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+// Version 2: the CRC also covers the version and kind words.
+inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::size_t kCheckpointHeaderBytes = 16;
 
-// Every way a checkpoint can fail to load — short envelope, bad magic,
-// version/kind mismatch, checksum failure, truncated or oversized payload,
-// file IO — throws this one typed error, with the failing field (and byte
-// offset, where one is meaningful) in the message. Derives
+// Every way a checkpoint can fail to load — short header, bad magic,
+// version/kind mismatch, checksum failure, truncated or oversized payload —
+// throws this one typed error, with the failing field (and byte offset,
+// where one is meaningful) in the message. Derives
 // std::runtime_error so existing catch sites keep working; layers above
 // (the serve scheduler in particular) catch the type to classify "stored
 // state is bad" without string-matching.
@@ -50,18 +54,24 @@ enum class CheckpointKind : std::uint32_t {
   kBuddy = 4,
 };
 
-// Wraps a packed payload in the versioned envelope.
-sim::Buffer seal_checkpoint(CheckpointKind kind, sim::Buffer payload);
+// Seals a sim::Packer(kCheckpointHeaderBytes) as a `kind` checkpoint, in
+// place.
+sim::Buffer seal_checkpoint(CheckpointKind kind, sim::Packer& packer);
 
-// Verifies the envelope (magic, version, kind, checksum) and returns the
-// payload. Throws CheckpointError naming the first mismatching field and
-// its byte offset.
-sim::Buffer open_checkpoint(CheckpointKind kind, sim::Buffer sealed);
+// Checks the header (magic, version, kind, checksum); throws
+// CheckpointError naming the first mismatching field and its byte offset.
+void open_checkpoint(CheckpointKind kind, const sim::Buffer& sealed);
 
-// Whole-buffer file round-trip (binary). Throws CheckpointError on IO
-// failure.
-void write_checkpoint_file(const std::string& path, const sim::Buffer& data);
-sim::Buffer read_checkpoint_file(const std::string& path);
+// open_checkpoint, then sim::checked_decode of the payload with
+// `body(sim::Unpacker&)`, throwing CheckpointError prefixed with `what`.
+template <typename Body>
+auto decode_checkpoint(CheckpointKind kind, const char* what,
+                       sim::Buffer sealed, Body&& body) {
+  open_checkpoint(kind, sealed);
+  return sim::checked_decode<CheckpointError>(
+      what, sim::Unpacker(std::move(sealed), kCheckpointHeaderBytes),
+      std::forward<Body>(body));
+}
 
 // Serial engine state. Resume by constructing SerialMd with `particles` and
 // SerialMdConfig::initial_step = `step`; restore the RNG stream (when

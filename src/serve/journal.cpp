@@ -1,190 +1,69 @@
 #include "serve/journal.hpp"
 
 #include "serve/error.hpp"
-#include "util/checksum.hpp"
+#include "util/frame.hpp"
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace pcmd::serve {
 
 namespace {
 
-constexpr std::uint8_t kMagic0 = 'P';
-constexpr std::uint8_t kMagic1 = 'J';
-constexpr std::uint8_t kVersion = 1;
-constexpr std::size_t kHeaderSize = 16;  // magic+version+kind+len+crc+hcrc
+constexpr std::uint32_t kVersion = 2;
 
-// ---- little-endian scalar writers -----------------------------------------
+// Each record is two frames: a payload-less length frame whose CRC protects
+// the size of the record frame behind it, then the record frame itself.
+constexpr FrameCodec kLengthFrame(0x504A4C4Eu,  // "PJLN"
+                                  "length");
+constexpr FrameCodec kRecordFrame(0x504A5243u,  // "PJRC"
+                                  "version", "kind");
+static_assert(kLengthFrame.header_bytes() == kJournalLengthFrameBytes);
 
-void put_u8(sim::Buffer& out, std::uint8_t value) { out.push_back(value); }
-
-void put_u32(sim::Buffer& out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-void put_u64(sim::Buffer& out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-  }
-}
-
-void put_f64(sim::Buffer& out, double value) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_str(sim::Buffer& out, const std::string& text) {
-  put_u32(out, static_cast<std::uint32_t>(text.size()));
-  out.insert(out.end(), text.begin(), text.end());
-}
-
-void put_blob(sim::Buffer& out, const sim::Buffer& bytes) {
-  put_u32(out, static_cast<std::uint32_t>(bytes.size()));
-  out.insert(out.end(), bytes.begin(), bytes.end());
-}
-
-void put_f64_vector(sim::Buffer& out, const std::vector<double>& values) {
-  put_u32(out, static_cast<std::uint32_t>(values.size()));
-  for (const double v : values) put_f64(out, v);
-}
-
-// ---- bounds-checked little-endian readers ---------------------------------
-//
-// `pos` advances through [begin, end). Journal payloads are CRC-verified
-// before decoding, so an underrun here means an encoder bug, not disk
-// damage — still reported as a typed StoreError rather than trusted.
-
-void need(const sim::Buffer& bytes, std::size_t pos, std::size_t end,
-          std::size_t count) {
-  if (end > bytes.size() || end - pos < count) {
-    throw StoreError("job journal: payload underrun while decoding");
-  }
-}
-
-std::uint8_t get_u8(const sim::Buffer& bytes, std::size_t& pos,
-                    std::size_t end) {
-  need(bytes, pos, end, 1);
-  return bytes[pos++];
-}
-
-std::uint32_t get_u32(const sim::Buffer& bytes, std::size_t& pos,
-                      std::size_t end) {
-  need(bytes, pos, end, 4);
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(bytes[pos + i]) << (8 * i);
-  }
-  pos += 4;
-  return value;
-}
-
-std::uint64_t get_u64(const sim::Buffer& bytes, std::size_t& pos,
-                      std::size_t end) {
-  need(bytes, pos, end, 8);
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(bytes[pos + i]) << (8 * i);
-  }
-  pos += 8;
-  return value;
-}
-
-double get_f64(const sim::Buffer& bytes, std::size_t& pos, std::size_t end) {
-  const std::uint64_t bits = get_u64(bytes, pos, end);
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-std::string get_str(const sim::Buffer& bytes, std::size_t& pos,
-                    std::size_t end) {
-  const std::uint32_t size = get_u32(bytes, pos, end);
-  need(bytes, pos, end, size);
-  std::string text(reinterpret_cast<const char*>(bytes.data() + pos), size);
-  pos += size;
-  return text;
-}
-
-sim::Buffer get_blob(const sim::Buffer& bytes, std::size_t& pos,
-                     std::size_t end) {
-  const std::uint32_t size = get_u32(bytes, pos, end);
-  need(bytes, pos, end, size);
-  sim::Buffer out(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                  bytes.begin() + static_cast<std::ptrdiff_t>(pos + size));
-  pos += size;
-  return out;
-}
-
-std::vector<double> get_f64_vector(const sim::Buffer& bytes, std::size_t& pos,
-                                   std::size_t end) {
-  const std::uint32_t count = get_u32(bytes, pos, end);
-  need(bytes, pos, end, static_cast<std::size_t>(count) * 8);
-  std::vector<double> values;
-  values.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    values.push_back(get_f64(bytes, pos, end));
-  }
-  return values;
-}
-
-// The full field list is encoded for every kind (the framing is fixed per
+// The full field list is encoded for every kind (the layout is fixed per
 // version, not per kind); unused fields ride along at their defaults. The
-// event kind itself lives in the frame header, not the payload, so neither
-// side below touches it.
-void pack_journal_payload(const JournalEvent& event, sim::Buffer& out) {
-  put_str(out, event.key);
-  put_u8(out, event.admission);
-  put_u8(out, event.priority);
-  put_str(out, event.spec);
-  put_u32(out, static_cast<std::uint32_t>(event.attempt));
-  put_u64(out, static_cast<std::uint64_t>(event.steps_done));
-  put_f64(out, event.virtual_seconds);
-  put_f64_vector(out, event.clocks);
-  put_blob(out, event.checkpoint);
-  put_str(out, event.record_line);
-  put_u64(out, event.submitted);
-  put_u64(out, event.malformed);
-  put_u64(out, event.cache_hits);
-  put_u64(out, event.collapsed);
-  put_u64(out, event.shed);
-  put_u64(out, event.tripped);
+// event kind itself lives in the record frame's header, not the payload, so
+// neither side below touches it.
+void pack_journal_payload(const JournalEvent& event, sim::Packer& packer) {
+  packer.put_string(event.key);
+  packer.put(event.admission);
+  packer.put(event.priority);
+  packer.put_string(event.spec);
+  packer.put(event.attempt);
+  packer.put(event.steps_done);
+  packer.put(event.virtual_seconds);
+  packer.put_vector(event.clocks);
+  packer.put_vector(event.checkpoint);
+  packer.put_string(event.record_line);
+  packer.put(event.submitted);
+  packer.put(event.malformed);
+  packer.put(event.cache_hits);
+  packer.put(event.collapsed);
+  packer.put(event.shed);
+  packer.put(event.tripped);
 }
 
-JournalEvent unpack_journal_payload(const sim::Buffer& bytes,
-                                    std::size_t& pos, std::size_t end) {
+JournalEvent unpack_journal_payload(sim::Unpacker& unpacker) {
   JournalEvent event;
-  event.key = get_str(bytes, pos, end);
-  event.admission = get_u8(bytes, pos, end);
-  event.priority = get_u8(bytes, pos, end);
-  event.spec = get_str(bytes, pos, end);
-  event.attempt = static_cast<std::int32_t>(get_u32(bytes, pos, end));
-  event.steps_done = static_cast<std::int64_t>(get_u64(bytes, pos, end));
-  event.virtual_seconds = get_f64(bytes, pos, end);
-  event.clocks = get_f64_vector(bytes, pos, end);
-  event.checkpoint = get_blob(bytes, pos, end);
-  event.record_line = get_str(bytes, pos, end);
-  event.submitted = get_u64(bytes, pos, end);
-  event.malformed = get_u64(bytes, pos, end);
-  event.cache_hits = get_u64(bytes, pos, end);
-  event.collapsed = get_u64(bytes, pos, end);
-  event.shed = get_u64(bytes, pos, end);
-  event.tripped = get_u64(bytes, pos, end);
-  if (pos != end) {
-    throw StoreError("job journal: trailing bytes inside a record payload");
-  }
+  event.key = unpacker.get_string();
+  event.admission = unpacker.get<std::uint8_t>();
+  event.priority = unpacker.get<std::uint8_t>();
+  event.spec = unpacker.get_string();
+  event.attempt = unpacker.get<std::int32_t>();
+  event.steps_done = unpacker.get<std::int64_t>();
+  event.virtual_seconds = unpacker.get<double>();
+  event.clocks = unpacker.get_vector<double>();
+  event.checkpoint = unpacker.get_vector<std::uint8_t>();
+  event.record_line = unpacker.get_string();
+  event.submitted = unpacker.get<std::uint64_t>();
+  event.malformed = unpacker.get<std::uint64_t>();
+  event.cache_hits = unpacker.get<std::uint64_t>();
+  event.collapsed = unpacker.get<std::uint64_t>();
+  event.shed = unpacker.get<std::uint64_t>();
+  event.tripped = unpacker.get<std::uint64_t>();
   return event;
-}
-
-std::uint32_t read_u32_at(const sim::Buffer& bytes, std::size_t pos) {
-  return static_cast<std::uint32_t>(bytes[pos]) |
-         static_cast<std::uint32_t>(bytes[pos + 1]) << 8 |
-         static_cast<std::uint32_t>(bytes[pos + 2]) << 16 |
-         static_cast<std::uint32_t>(bytes[pos + 3]) << 24;
 }
 
 }  // namespace
@@ -202,19 +81,23 @@ const char* journal_event_kind_name(JournalEventKind kind) {
 }
 
 sim::Buffer encode_journal_event(const JournalEvent& event) {
-  sim::Buffer payload;
-  pack_journal_payload(event, payload);
-
-  sim::Buffer out;
-  out.reserve(kHeaderSize + payload.size());
-  put_u8(out, kMagic0);
-  put_u8(out, kMagic1);
-  put_u8(out, kVersion);
-  put_u8(out, static_cast<std::uint8_t>(event.kind));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
-  put_u32(out, crc32(out.data(), 12));  // header CRC over the 12 bytes above
-  out.insert(out.end(), payload.begin(), payload.end());
+  // Capacity: the variable-length fields plus a bound on the fixed ones.
+  sim::Packer packer(kJournalLengthFrameBytes + kRecordFrame.header_bytes(),
+                     event.key.size() + event.spec.size() +
+                         event.record_line.size() +
+                         event.clocks.size() * sizeof(double) +
+                         event.checkpoint.size() + 128);
+  pack_journal_payload(event, packer);
+  sim::Buffer out = packer.take();
+  const std::size_t record_size = out.size() - kJournalLengthFrameBytes;
+  if (record_size > std::numeric_limits<std::uint32_t>::max()) {
+    throw StoreError("job journal: record of " + std::to_string(record_size) +
+                     " bytes exceeds the 4 GiB frame limit");
+  }
+  kRecordFrame.seal(out.data() + kJournalLengthFrameBytes, record_size,
+                    {kVersion, static_cast<std::uint32_t>(event.kind)});
+  kLengthFrame.seal(out.data(), kJournalLengthFrameBytes,
+                    {static_cast<std::uint32_t>(record_size)});
   return out;
 }
 
@@ -232,79 +115,98 @@ std::vector<JournalEvent> decode_journal(const sim::Buffer& bytes,
   std::vector<JournalEvent> events;
   if (torn_bytes_dropped != nullptr) *torn_bytes_dropped = 0;
   std::size_t pos = 0;
-  std::size_t index = 0;
   const auto corrupt = [&](const std::string& what) {
-    throw StoreError("job journal: record " + std::to_string(index) +
-                     " (offset " + std::to_string(pos) + "): " + what);
-  };
-  const auto torn = [&]() {
-    if (torn_bytes_dropped != nullptr) {
-      *torn_bytes_dropped = bytes.size() - pos;
-    }
+    return StoreError("job journal: record " + std::to_string(events.size()) +
+                      " (offset " + std::to_string(pos) + "): " + what);
   };
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < kHeaderSize) {
-      torn();  // header itself cut off at EOF
-      break;
+    const std::size_t left = bytes.size() - pos;
+    if (left < kJournalLengthFrameBytes) break;  // length frame cut at EOF
+    // A damaged length frame can't be trusted about the record size, so it
+    // is corruption, never a torn tail.
+    const FrameCheck length =
+        kLengthFrame.open(bytes.data() + pos, kJournalLengthFrameBytes);
+    if (!length.ok()) {
+      throw corrupt("length frame: " + kLengthFrame.describe(length));
     }
-    if (crc32(bytes.data() + pos, 12) != read_u32_at(bytes, pos + 12)) {
-      // A damaged header can't be trusted about anything — not even its
-      // own payload length — so it is corruption, never a torn tail.
-      corrupt("header CRC mismatch");
+    const std::size_t record_size = length.fields[0];
+    // The length is intact, so it is truthful: the record frame really is
+    // missing bytes at EOF — a torn tail.
+    if (left - kJournalLengthFrameBytes < record_size) break;
+    const std::size_t record_begin = pos + kJournalLengthFrameBytes;
+    const FramePins pins = {kVersion, std::nullopt};
+    const FrameCheck record =
+        kRecordFrame.open(bytes.data() + record_begin, record_size, pins);
+    if (!record.ok()) {
+      throw corrupt("record frame at byte " + std::to_string(record_begin) +
+                    ": " + kRecordFrame.describe(record, pins));
     }
-    if (bytes[pos] != kMagic0 || bytes[pos + 1] != kMagic1) {
-      corrupt("bad magic");
+    const std::uint32_t kind = record.fields[1];
+    if (kind < static_cast<std::uint32_t>(JournalEventKind::kSubmitted) ||
+        kind > static_cast<std::uint32_t>(JournalEventKind::kPending)) {
+      throw corrupt("unknown event kind " + std::to_string(kind));
     }
-    if (bytes[pos + 2] != kVersion) {
-      corrupt("unknown version " + std::to_string(bytes[pos + 2]));
-    }
-    const std::uint8_t kind_byte = bytes[pos + 3];
-    if (kind_byte < static_cast<std::uint8_t>(JournalEventKind::kSubmitted) ||
-        kind_byte > static_cast<std::uint8_t>(JournalEventKind::kPending)) {
-      corrupt("unknown event kind " + std::to_string(kind_byte));
-    }
-    const std::uint32_t payload_len = read_u32_at(bytes, pos + 4);
-    if (bytes.size() - pos - kHeaderSize < payload_len) {
-      // The header is intact (its CRC passed), so the length is truthful:
-      // the payload really is missing bytes at EOF — a torn tail.
-      torn();
-      break;
-    }
-    const std::size_t payload_begin = pos + kHeaderSize;
-    if (crc32(bytes.data() + payload_begin, payload_len) !=
-        read_u32_at(bytes, pos + 8)) {
-      corrupt("payload CRC mismatch");
-    }
-    std::size_t cursor = payload_begin;
     try {
-      events.push_back(
-          unpack_journal_payload(bytes, cursor, payload_begin + payload_len));
-    } catch (const StoreError&) {
-      corrupt("malformed payload");
+      events.push_back(sim::checked_decode<StoreError>(
+          "record payload",
+          sim::Unpacker(bytes.data() + record_begin, record_size,
+                        kRecordFrame.header_bytes()),
+          unpack_journal_payload));
+    } catch (const StoreError& e) {
+      throw corrupt(e.what());
     }
-    events.back().kind = static_cast<JournalEventKind>(kind_byte);
-    pos = payload_begin + payload_len;
-    ++index;
+    events.back().kind = static_cast<JournalEventKind>(kind);
+    pos = record_begin + record_size;
   }
+  if (torn_bytes_dropped != nullptr) *torn_bytes_dropped = bytes.size() - pos;
   return events;
+}
+
+std::optional<sim::Buffer> read_durable_file(const std::string& path,
+                                             const char* owner) {
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return std::nullopt;
+  sim::Buffer bytes;
+  std::uint8_t chunk[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + got);
+  }
+  const bool ok = std::feof(in) != 0 && std::ferror(in) == 0;
+  std::fclose(in);
+  if (!ok) {
+    throw StoreError(std::string(owner) + ": read error on '" + path + "'");
+  }
+  return bytes;
+}
+
+void replace_durable_file(const std::string& path, const void* data,
+                          std::size_t size, const char* owner) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr) {
+    throw StoreError(std::string(owner) + ": cannot open '" + tmp +
+                     "' for writing");
+  }
+  bool ok = size == 0 || std::fwrite(data, 1, size, out) == size;
+  ok = std::fflush(out) == 0 && ok;
+  ok = std::fclose(out) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    throw StoreError(std::string(owner) + ": short write to '" + tmp + "'");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw StoreError(std::string(owner) + ": cannot rename '" + tmp +
+                     "' over '" + path + "': " + std::strerror(errno));
+  }
 }
 
 JobJournal::JobJournal(std::string path) : path_(std::move(path)) {
   if (path_.empty()) return;
-  if (std::FILE* in = std::fopen(path_.c_str(), "rb")) {
-    sim::Buffer bytes;
-    std::uint8_t chunk[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
-      bytes.insert(bytes.end(), chunk, chunk + got);
-    }
-    const bool ok = std::feof(in) != 0 && std::ferror(in) == 0;
-    std::fclose(in);
-    if (!ok) {
-      throw StoreError("job journal: read error on '" + path_ + "'");
-    }
+  if (const auto bytes = read_durable_file(path_, "job journal")) {
     try {
-      events_ = decode_journal(bytes, &torn_bytes_dropped_);
+      events_ = decode_journal(*bytes, &torn_bytes_dropped_);
     } catch (const StoreError& e) {
       throw StoreError(std::string(e.what()) + " in '" + path_ + "'");
     }
@@ -343,23 +245,7 @@ void JobJournal::compact(const std::vector<JournalEvent>& events) {
   if (path_.empty()) return;
   const sim::Buffer bytes = encode_journal(events);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    throw StoreError("job journal: cannot open '" + tmp + "' for writing");
-  }
-  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
-  ok = std::fflush(out) == 0 && ok;
-  ok = std::fclose(out) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw StoreError("job journal: short write to '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw StoreError("job journal: cannot rename '" + tmp + "' over '" +
-                     path_ + "': " + std::strerror(errno));
-  }
+  replace_durable_file(path_, bytes.data(), bytes.size(), "job journal");
   // Re-open the append handle on the new file (there is none yet when the
   // constructor compacts a torn tail away).
   if (file_ != nullptr) std::fclose(file_);

@@ -21,17 +21,19 @@
 // from their last journaled checkpoint when one exists), and the tallies
 // that make counters_line() crash-invariant are restored.
 //
-// Framing: every record is
+// Framing: every record is two util/frame.hpp frames —
 //
-//   magic "PJ" | version u8 | kind u8 | payload_len u32 | payload_crc u32 |
-//   header_crc u32 (over the preceding 12 bytes) | payload
+//   length frame  magic "PJLN" | length u32 | crc u32          (12 bytes)
+//   record frame  magic "PJRC" | version u32 | kind u32 | crc u32 | payload
 //
-// The header CRC matters: without it, a bit flip in payload_len could make
-// a mid-file record appear to run past EOF and masquerade as a torn tail.
-// With it, every flip inside a complete record — header or payload — is
-// loud corruption (typed StoreError naming the record and offset); only
-// genuinely missing bytes at EOF are a torn tail, dropped and counted,
-// exactly the ResultStore reload policy.
+// where `length` is the record frame's size and the payload is the
+// JournalEvent packed with sim::Packer. The length frame's CRC matters:
+// without it, a bit flip in the length could make a mid-file record appear
+// to run past EOF and masquerade as a torn tail. With it, every flip inside
+// a complete record is loud corruption (typed StoreError naming the record
+// index and offset); only genuinely missing bytes at EOF are a torn tail,
+// dropped and counted, exactly the ResultStore reload policy. This layout
+// is version 2; files of older versions are rejected as corruption.
 //
 // compact() atomically replaces the file (temp+rename) with a canonical
 // event list — after a full drain that is a single snapshot event, so
@@ -41,13 +43,18 @@
 
 #include "sim/message.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace pcmd::serve {
+
+// Trailing bytes shorter than a length frame are a torn tail.
+inline constexpr std::size_t kJournalLengthFrameBytes = 12;
 
 enum class JournalEventKind : std::uint8_t {
   kSubmitted = 1,
@@ -109,6 +116,15 @@ sim::Buffer encode_journal(const std::vector<JournalEvent>& events);
 std::vector<JournalEvent> decode_journal(const sim::Buffer& bytes,
                                          std::size_t* torn_bytes_dropped);
 
+// Whole-file I/O of JobJournal and ResultStore; StoreErrors name `owner`
+// and the path. read: nullopt when `path` cannot be opened (a fresh file).
+// replace: atomic — `<path>.tmp`, flush, close, rename over `path` — so a
+// crash leaves the old complete file or the new one.
+std::optional<sim::Buffer> read_durable_file(const std::string& path,
+                                             const char* owner);
+void replace_durable_file(const std::string& path, const void* data,
+                          std::size_t size, const char* owner);
+
 class JobJournal {
  public:
   // Loads `path` if it exists (torn-tail policy above; mid-file corruption
@@ -132,7 +148,7 @@ class JobJournal {
   // Bytes dropped off the tail during load — 0 unless the file was torn.
   std::size_t torn_bytes_dropped() const { return torn_bytes_dropped_; }
 
-  // Appends one CRC-framed record and flushes it to the OS. Thread-safe.
+  // Appends one framed record and flushes it to the OS. Thread-safe.
   // Throws StoreError when the write fails — the service cannot persist
   // its state and must stop loudly.
   void append(const JournalEvent& event);

@@ -2,11 +2,11 @@
 
 #include "serve/error.hpp"
 #include "serve/flat_json.hpp"
+#include "serve/journal.hpp"
 
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -128,19 +128,9 @@ JobResultRecord JobResultRecord::parse(const std::string& line) {
 ResultStore::ResultStore(std::string path, FlushMode mode)
     : path_(std::move(path)), mode_(mode) {
   if (path_.empty()) return;
-  std::FILE* file = std::fopen(path_.c_str(), "rb");
-  if (file == nullptr) return;  // fresh store
-  std::string text;
-  char chunk[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    text.append(chunk, got);
-  }
-  const bool ok = std::feof(file) != 0 && std::ferror(file) == 0;
-  std::fclose(file);
-  if (!ok) {
-    throw StoreError("result store: read error on '" + path_ + "'");
-  }
+  const auto bytes = read_durable_file(path_, "result store");
+  if (!bytes) return;  // fresh store
+  const std::string text(bytes->begin(), bytes->end());
 
   std::size_t pos = 0;
   std::size_t line_number = 0;
@@ -204,28 +194,13 @@ std::map<std::string, JobResultRecord> ResultStore::records() const {
 
 void ResultStore::rewrite_locked() const {
   if (path_.empty()) return;
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    throw StoreError("result store: cannot open '" + tmp + "' for writing");
-  }
-  bool ok = true;
+  std::string text;
   for (const auto& [key, record] : records_) {
     (void)key;
-    const std::string line = record.json_line() + "\n";
-    ok = ok && std::fwrite(line.data(), 1, line.size(), file) == line.size();
+    text += record.json_line();
+    text += '\n';
   }
-  ok = std::fflush(file) == 0 && ok;
-  ok = std::fclose(file) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw StoreError("result store: short write to '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw StoreError("result store: cannot rename '" + tmp + "' over '" +
-                     path_ + "': " + std::strerror(errno));
-  }
+  replace_durable_file(path_, text.data(), text.size(), "result store");
 }
 
 }  // namespace pcmd::serve

@@ -17,6 +17,14 @@ using Buffer = std::vector<std::uint8_t>;
 
 class Packer {
  public:
+  // Starts the buffer with `header_bytes` zero bytes, reserved for a
+  // util/frame.hpp header sealed in place once the payload is complete;
+  // `payload_bytes` pre-sizes the rest, as reserve() does.
+  explicit Packer(std::size_t header_bytes = 0, std::size_t payload_bytes = 0) {
+    buffer_.reserve(header_bytes + payload_bytes);
+    buffer_.resize(header_bytes);
+  }
+
   template <typename T>
   void put(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -39,6 +47,12 @@ class Packer {
     }
   }
 
+  // Length-prefixed (u64) bytes.
+  void put_string(const std::string& text) {
+    put<std::uint64_t>(text.size());
+    buffer_.insert(buffer_.end(), text.begin(), text.end());
+  }
+
   // Pre-sizes the underlying buffer. Hot per-step packers (halo, digest,
   // particle migration) know their exact payload size up front; reserving
   // once replaces the geometric-growth reallocations of repeated put().
@@ -54,8 +68,24 @@ class Packer {
 class Unpacker {
  public:
   // Owns the buffer: accepting by value lets callers hand over the result of
-  // Comm::recv directly without lifetime pitfalls.
-  explicit Unpacker(Buffer buffer) : buffer_(std::move(buffer)) {}
+  // Comm::recv directly without lifetime pitfalls. Reading starts at
+  // `offset` — the header size of a framed payload.
+  explicit Unpacker(Buffer buffer, std::size_t offset = 0)
+      : owned_(std::move(buffer)), data_(owned_.data()), size_(owned_.size()) {
+    require(offset);
+    cursor_ = offset;
+  }
+
+  // Reads [data, data + size) in place, for a frame inside a larger image;
+  // the bytes must outlive the Unpacker.
+  Unpacker(const std::uint8_t* data, std::size_t size, std::size_t offset)
+      : data_(data), size_(size) {
+    require(offset);
+    cursor_ = offset;
+  }
+
+  Unpacker(const Unpacker&) = delete;
+  Unpacker& operator=(const Unpacker&) = delete;
 
   template <typename T>
   T get() {
@@ -63,7 +93,7 @@ class Unpacker {
                   "Unpacker::get requires a trivially copyable type");
     require(sizeof(T));
     T value;
-    std::memcpy(&value, buffer_.data() + cursor_, sizeof(T));
+    std::memcpy(&value, data_ + cursor_, sizeof(T));
     cursor_ += sizeof(T);
     return value;
   }
@@ -84,27 +114,53 @@ class Unpacker {
     require(count * sizeof(T));
     std::vector<T> values(count);
     if (count > 0) {
-      std::memcpy(values.data(), buffer_.data() + cursor_, count * sizeof(T));
+      std::memcpy(values.data(), data_ + cursor_, count * sizeof(T));
     }
     cursor_ += count * sizeof(T);
     return values;
   }
 
-  bool exhausted() const { return cursor_ == buffer_.size(); }
-  std::size_t remaining() const { return buffer_.size() - cursor_; }
+  std::string get_string() {
+    const auto chars = get_vector<char>();
+    return std::string(chars.begin(), chars.end());
+  }
+
+  bool exhausted() const { return cursor_ == size_; }
+  std::size_t remaining() const { return size_ - cursor_; }
 
  private:
   void require(std::size_t bytes) const {
-    if (cursor_ + bytes > buffer_.size()) {
+    if (bytes > remaining()) {
       throw std::out_of_range("Unpacker: buffer underflow (need " +
                               std::to_string(bytes) + " bytes, have " +
-                              std::to_string(buffer_.size() - cursor_) + ")");
+                              std::to_string(remaining()) + ")");
     }
   }
 
-  Buffer buffer_;
+  Buffer owned_;
+  const std::uint8_t* data_;
+  std::size_t size_;
   std::size_t cursor_ = 0;
 };
+
+// Decodes with `body(Unpacker&)`, which must consume every byte; the
+// unpacker starts past a checked frame header. A short or misshapen payload
+// (Unpacker's std::out_of_range) and trailing bytes throw the layer's own
+// Error, prefixed with `what`; errors `body` throws pass through.
+template <typename Error, typename Body>
+auto checked_decode(const char* what, Unpacker unpacker, Body&& body) {
+  try {
+    auto value = body(unpacker);
+    if (!unpacker.exhausted()) {
+      throw Error(std::string(what) + ": " +
+                  std::to_string(unpacker.remaining()) +
+                  " trailing bytes after the payload");
+    }
+    return value;
+  } catch (const std::out_of_range& e) {
+    throw Error(std::string(what) + ": malformed payload: " + e.what());
+  }
+}
 
 // An in-flight message. `arrival` is the virtual time at which the payload is
 // available at the destination; `phase` is the BSP phase it was sent in.

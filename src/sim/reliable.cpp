@@ -1,6 +1,6 @@
 #include "sim/reliable.hpp"
 
-#include "util/checksum.hpp"
+#include "util/frame.hpp"
 
 #include <cstring>
 #include <string>
@@ -9,52 +9,26 @@ namespace pcmd::sim {
 
 namespace {
 
-constexpr std::uint32_t kFrameMagic = 0x52454C41u;  // "RELA"
-
-std::uint32_t read_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void write_u32(std::uint8_t* p, std::uint32_t v) {
-  std::memcpy(p, &v, sizeof(v));
-}
+// Field words {seq, attempt}; the CRC covers both and the payload, so a
+// single flipped byte anywhere in the frame fails the magic or CRC check.
+constexpr FrameCodec kReliableFrame(0x52454C41u,  // "RELA"
+                                    "seq", "attempt");
+static_assert(kReliableFrame.header_bytes() ==
+              ReliableChannel::kFrameHeaderBytes);
 
 }  // namespace
 
-// Frame layout: [magic][seq][attempt][crc] then the payload; crc covers
-// seq, attempt and payload, so a single flipped byte anywhere in the frame
-// fails either the magic or the crc check.
 PCMD_HOT Buffer ReliableChannel::frame(std::uint32_t seq,
                                        std::uint32_t attempt,
                                        const Buffer& payload) {
   Buffer out = pool_.acquire();
   out.resize(kFrameHeaderBytes + payload.size());
-  write_u32(out.data() + 0, kFrameMagic);
-  write_u32(out.data() + 4, seq);
-  write_u32(out.data() + 8, attempt);
-  std::uint32_t crc = pcmd::crc32(out.data() + 4, 8);
-  crc = pcmd::crc32(payload.data(), payload.size(), crc);
-  write_u32(out.data() + 12, crc);
   if (!payload.empty()) {
     std::memcpy(out.data() + kFrameHeaderBytes, payload.data(),
                 payload.size());
   }
+  kReliableFrame.seal(out.data(), out.size(), {seq, attempt});
   return out;
-}
-
-PCMD_HOT std::optional<std::uint32_t> ReliableChannel::parse_in_place(
-    Buffer& raw) const {
-  if (raw.size() < kFrameHeaderBytes) return std::nullopt;
-  if (read_u32(raw.data()) != kFrameMagic) return std::nullopt;
-  std::uint32_t crc = pcmd::crc32(raw.data() + 4, 8);
-  crc = pcmd::crc32(raw.data() + kFrameHeaderBytes,
-                    raw.size() - kFrameHeaderBytes, crc);
-  if (crc != read_u32(raw.data() + 12)) return std::nullopt;
-  const std::uint32_t seq = read_u32(raw.data() + 4);
-  raw.erase(raw.begin(), raw.begin() + kFrameHeaderBytes);
-  return seq;
 }
 
 void ReliableChannel::send(Comm& comm, int dst, int tag,
@@ -79,59 +53,46 @@ void ReliableChannel::send(Comm& comm, int dst, int tag,
           " lost after " + std::to_string(policy_.max_attempts) + " attempts");
 }
 
-Buffer ReliableChannel::recv(Comm& comm, int src, int tag) {
+template <typename Next>
+std::optional<Buffer> ReliableChannel::accept(const char* who, int src,
+                                              int tag, Next&& next) {
   std::uint32_t& expected = recv_seq_[{src, tag}];
   for (;;) {
-    Buffer raw = comm.recv(src, tag);
-    const auto seq = parse_in_place(raw);
-    if (!seq) {
-      counters_.corrupt_discarded += 1;
-      pool_.release(std::move(raw));
+    std::optional<Buffer> raw = next();
+    if (!raw) return std::nullopt;
+    const FrameCheck check = kReliableFrame.open(raw->data(), raw->size());
+    const std::uint32_t seq = check.fields[0];
+    if (!check.ok() || seq < expected) {  // corrupt, or a stale duplicate
+      if (!check.ok()) counters_.corrupt_discarded += 1;
+      pool_.release(std::move(*raw));
       continue;
     }
-    if (*seq < expected) {  // stale duplicate
-      pool_.release(std::move(raw));
-      continue;
-    }
-    if (*seq > expected) {
-      throw ProtocolError("ReliableChannel::recv: sequence gap from rank " +
-                          std::to_string(src) + " tag " + std::to_string(tag) +
-                          " (expected " + std::to_string(expected) + ", got " +
-                          std::to_string(*seq) + ")");
+    if (seq > expected) {
+      throw ProtocolError(std::string("ReliableChannel::") + who +
+                          ": sequence gap from rank " + std::to_string(src) +
+                          " tag " + std::to_string(tag) + " (expected " +
+                          std::to_string(expected) + ", got " +
+                          std::to_string(seq) + ")");
     }
     expected += 1;
-    return raw;  // header already stripped in place
+    raw->erase(raw->begin(), raw->begin() + kFrameHeaderBytes);
+    return raw;
   }
+}
+
+Buffer ReliableChannel::recv(Comm& comm, int src, int tag) {
+  return *accept("recv", src, tag, [&] {
+    return std::optional<Buffer>(comm.recv(src, tag));
+  });
 }
 
 std::optional<Buffer> ReliableChannel::recv_deadline(Comm& comm, int src,
                                                      int tag, double timeout) {
-  std::uint32_t& expected = recv_seq_[{src, tag}];
-  for (;;) {
+  return accept("recv_deadline", src, tag, [&] {
     auto raw = comm.recv_deadline(src, tag, timeout);
-    if (!raw) {
-      counters_.recv_timeouts += 1;
-      return std::nullopt;
-    }
-    const auto seq = parse_in_place(*raw);
-    if (!seq) {
-      counters_.corrupt_discarded += 1;
-      pool_.release(std::move(*raw));
-      continue;
-    }
-    if (*seq < expected) {
-      pool_.release(std::move(*raw));
-      continue;
-    }
-    if (*seq > expected) {
-      throw ProtocolError(
-          "ReliableChannel::recv_deadline: sequence gap from rank " +
-          std::to_string(src) + " tag " + std::to_string(tag) + " (expected " +
-          std::to_string(expected) + ", got " + std::to_string(*seq) + ")");
-    }
-    expected += 1;
-    return std::move(*raw);  // header already stripped in place
-  }
+    if (!raw) counters_.recv_timeouts += 1;
+    return raw;
+  });
 }
 
 }  // namespace pcmd::sim

@@ -4,8 +4,9 @@
 // sends into an in-order, integrity-checked stream, modelling the ARQ
 // protocol a real message layer runs over an unreliable link:
 //
-//   * every logical message is framed with a sequence number (per
-//     destination+tag stream) and a CRC32 over the frame body;
+//   * every logical message is framed (util/frame.hpp, magic "RELA") with
+//     field words {seq, attempt} — seq numbers the per destination+tag
+//     stream — and a CRC32 over both fields and the payload;
 //   * the sender retransmits until a copy is delivered intact, charging an
 //     exponential virtual-time backoff to each retry's arrival (the sender's
 //     knowledge of delivery models the ack protocol — see
@@ -95,7 +96,8 @@ class ReliableChannel {
   std::optional<Buffer> recv_deadline(Comm& comm, int src, int tag,
                                       double timeout);
 
-  // Frame header size, for tests sizing payloads.
+  // Frame header size. Every attempt's frame is a modelled message, so this
+  // feeds the virtual-time makespan goldens: pinned, not tunable.
   static constexpr std::size_t kFrameHeaderBytes = 16;
 
  private:
@@ -105,11 +107,14 @@ class ReliableChannel {
   // previously discarded frames).
   Buffer frame(std::uint32_t seq, std::uint32_t attempt,
                const Buffer& payload);
-  // Integrity-checks a frame and strips the header in place: on success
-  // `raw` *becomes* the payload (no allocation, no copy) and the sequence
-  // number is returned; nullopt when the frame is corrupt (`raw` untouched,
-  // ready to be released back to the pool).
-  std::optional<std::uint32_t> parse_in_place(Buffer& raw) const;
+  // The one accept loop behind recv and recv_deadline: pulls copies from
+  // `next()` (nullopt: nothing arrived) until the expected sequence number
+  // of (src, tag) arrives intact, then strips its header in place (the
+  // buffer *becomes* the payload, no allocation). Corrupt copies (counted)
+  // and stale duplicates go back to the pool; a gap throws ProtocolError.
+  template <typename Next>
+  std::optional<Buffer> accept(const char* who, int src, int tag,
+                               Next&& next);
 
   ReliablePolicy policy_;
   ChannelCounters counters_;

@@ -4,11 +4,13 @@
 #include "ddm/wire.hpp"
 
 #include "sim/comm.hpp"
+#include "util/frame.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace pcmd::ddm {
@@ -93,6 +95,43 @@ TEST(WireProperty, AnnounceRoundTripsExactly) {
   }
 }
 
+SlabInfo random_slab_info(pcmd::Rng& rng) {
+  SlabInfo info;
+  info.busy = rng.uniform(0.0, 2.0);
+  info.lo = static_cast<std::int32_t>(rng.uniform_index(64));
+  info.hi = info.lo + 1 + static_cast<std::int32_t>(rng.uniform_index(8));
+  info.low_layer_load = rng.uniform(0.0, 100.0);
+  info.high_layer_load = rng.uniform(0.0, 100.0);
+  info.total_load = rng.uniform(0.0, 1000.0);
+  return info;
+}
+
+TEST(WireProperty, SlabInfoRoundTripsExactly) {
+  pcmd::Rng rng(43);
+  for (int trial = 0; trial < 100; ++trial) {
+    const SlabInfo info = random_slab_info(rng);
+    const SlabInfo out = unpack_slab_info(pack_slab_info(info));
+    ASSERT_EQ(out.busy, info.busy);  // bitwise: packing is a memcpy
+    ASSERT_EQ(out.lo, info.lo);
+    ASSERT_EQ(out.hi, info.hi);
+    ASSERT_EQ(out.low_layer_load, info.low_layer_load);
+    ASSERT_EQ(out.high_layer_load, info.high_layer_load);
+    ASSERT_EQ(out.total_load, info.total_load);
+  }
+}
+
+TEST(WireProperty, AnnounceBytesArePinned) {
+  // Wire bytes are modelled bytes: every header byte is charged to the
+  // virtual clock, so the frame layout feeds the makespan goldens. Pin the
+  // exact bytes of one message — {magic "PMDW", CRC32(payload)} then the
+  // payload — so the layout can never drift silently.
+  const sim::Buffer expected = {0x57, 0x44, 0x4d, 0x50, 0x33, 0xe0,
+                                0x7a, 0x76, 0x03, 0x00, 0x00, 0x00,
+                                0x07, 0x00, 0x00, 0x00};
+  EXPECT_EQ(pack_announce(AnnounceRecord{3, 7}), expected);
+  EXPECT_EQ(kWireHeaderBytes, 8u);
+}
+
 sim::Buffer truncated(const sim::Buffer& original, std::size_t len) {
   return sim::Buffer(original.begin(),
                      original.begin() + static_cast<std::ptrdiff_t>(len));
@@ -127,6 +166,41 @@ TEST(WireProperty, TruncationAlwaysThrowsProtocolError) {
     EXPECT_THROW(unpack_announce(truncated(announce, len)), sim::ProtocolError)
         << "announce truncated to " << len;
   }
+
+  const auto info = pack_slab_info(random_slab_info(rng));
+  for (std::size_t len = 0; len < info.size(); ++len) {
+    EXPECT_THROW(unpack_slab_info(truncated(info, len)), sim::ProtocolError)
+        << "slab_info truncated to " << len;
+  }
+}
+
+// A correctly sealed wire frame around an arbitrary body, so the tests can
+// hand the decoders intact frames whose payload is the wrong shape.
+sim::Buffer sealed_body(std::size_t body_bytes) {
+  constexpr pcmd::FrameCodec kWire(0x504D4457u);  // "PMDW"
+  sim::Buffer frame(kWireHeaderBytes + body_bytes, 0x3c);
+  kWire.seal(frame.data(), frame.size());
+  return frame;
+}
+
+TEST(WireProperty, MisshapenSlabInfoBodiesAreProtocolErrors) {
+  // Intact frames (the CRC matches) whose body is 12 bytes — too short for
+  // the 40-byte record — or carries 5 bytes after it. Both are protocol
+  // violations with the message kind in the text, never a std::out_of_range
+  // escaping and never a silent accept.
+  for (const std::size_t body : {std::size_t{12}, sizeof(SlabInfo) + 5}) {
+    try {
+      (void)unpack_slab_info(sealed_body(body));
+      FAIL() << body << "-byte body decoded as a SlabInfo";
+    } catch (const sim::ChecksumError& e) {
+      FAIL() << "intact frame reported as corrupted: " << e.what();
+    } catch (const sim::ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("unpack_slab_info"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW((void)unpack_slab_info(sealed_body(sizeof(SlabInfo))));
 }
 
 TEST(WireProperty, TrailingBytesThrowProtocolError) {
@@ -143,6 +217,11 @@ TEST(WireProperty, TrailingBytesThrowProtocolError) {
     std::vector<std::int32_t> columns;
     EXPECT_THROW(unpack_digest(std::move(digest), busy, columns),
                  sim::ProtocolError);
+
+    auto info = pack_slab_info(random_slab_info(rng));
+    info.resize(info.size() + extra, 0xef);
+    EXPECT_THROW(unpack_slab_info(std::move(info)), sim::ProtocolError)
+        << extra << " trailing bytes";
   }
 }
 
@@ -185,6 +264,16 @@ TEST(WireProperty, EverySingleByteFlipIsDetectedAsCorruption) {
     EXPECT_THROW(unpack_halo(std::move(corrupted)), sim::ChecksumError)
         << "byte " << byte;
   }
+
+  const auto info = pack_slab_info(random_slab_info(rng));
+  for (std::size_t byte = 0; byte < info.size(); ++byte) {
+    for (const std::uint8_t mask : {0x01, 0x80, 0xff}) {
+      auto corrupted = info;
+      corrupted[byte] ^= mask;
+      EXPECT_THROW(unpack_slab_info(std::move(corrupted)), sim::ChecksumError)
+          << "byte " << byte << " mask " << int(mask);
+    }
+  }
 }
 
 TEST(WireProperty, ChecksumErrorIsAProtocolError) {
@@ -217,6 +306,10 @@ TEST(WireProperty, RandomGarbageNeverCrashes) {
       double busy;
       std::vector<std::int32_t> columns;
       unpack_digest(garbage, busy, columns);
+    } catch (const sim::ProtocolError&) {
+    }
+    try {
+      (void)unpack_slab_info(garbage);
     } catch (const sim::ProtocolError&) {
     }
   }

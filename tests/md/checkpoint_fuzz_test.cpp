@@ -9,11 +9,14 @@
 
 #include "ddm/recovery.hpp"
 #include "sim/message.hpp"
+#include "util/checksum.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -63,6 +66,54 @@ TEST(CheckpointFuzz, DecodeFailuresAreTypedCheckpointErrors) {
   EXPECT_THROW((void)ddm::unpack_rank_envelope(sealed, kColumns),
                md::CheckpointError);
   EXPECT_THROW((void)md::unpack_serial_checkpoint({}), md::CheckpointError);
+}
+
+// A version-1 checkpoint around `payload`: {magic, 1, kind, CRC32(payload)}
+// — version 1's CRC covered the payload only.
+sim::Buffer version1_checkpoint(md::CheckpointKind kind,
+                                const sim::Buffer& payload) {
+  const std::uint32_t words[4] = {0x50434B50u, 1u,
+                                  static_cast<std::uint32_t>(kind),
+                                  crc32(payload.data(), payload.size())};
+  sim::Buffer sealed(sizeof(words) + payload.size());
+  std::memcpy(sealed.data(), words, sizeof(words));
+  std::copy(payload.begin(), payload.end(), sealed.begin() + sizeof(words));
+  return sealed;
+}
+
+TEST(CheckpointFuzz, Version1CheckpointsAreRejectedNamingTheVersionField) {
+  // The same payloads, framed as version 1: each must fail on the version
+  // field by name — not as a checksum mismatch — before any field is read.
+  Rng rng(39);
+  const auto buddy = ddm::pack_rank_envelope(random_envelope(rng, kColumns));
+  md::SerialCheckpoint state;
+  state.step = 3;
+  state.box = Box::cubic(9.0);
+  state.particles = random_particles(rng, 4);
+  const auto serial = md::pack_serial_checkpoint(state);
+  ASSERT_EQ(md::kCheckpointVersion, 2u);
+  const auto v1 = [](md::CheckpointKind kind, const sim::Buffer& sealed) {
+    return version1_checkpoint(
+        kind, sim::Buffer(sealed.begin() + md::kCheckpointHeaderBytes,
+                          sealed.end()));
+  };
+  const std::string expected = "version field at byte 4 is 1 (expected 2)";
+  try {
+    (void)ddm::unpack_rank_envelope(v1(md::CheckpointKind::kBuddy, buddy),
+                                    kColumns);
+    FAIL() << "version-1 buddy envelope decoded";
+  } catch (const md::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)md::unpack_serial_checkpoint(
+        v1(md::CheckpointKind::kSerial, serial));
+    FAIL() << "version-1 serial checkpoint decoded";
+  } catch (const md::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointFuzz, BuddyEnvelopeRoundTripsExactly) {

@@ -11,15 +11,17 @@
 //     offset, because silent loss of an interior lifecycle event would
 //     desynchronise replay from the store.
 //
-// The header CRC is what keeps those two regimes separate: without it, a
-// bit flip in payload_len could make an interior record appear to run past
-// EOF and masquerade as a torn tail.
+// The length frame's CRC is what keeps those two regimes separate: without
+// it, a bit flip in the record length could make an interior record appear
+// to run past EOF and masquerade as a torn tail.
 #include "serve/journal.hpp"
 
 #include "serve/error.hpp"
+#include "util/frame.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -144,7 +146,10 @@ TEST(JournalFuzz, TruncationAtEveryByteIsATornTailNeverAnError) {
     const sim::Buffer cut(sealed.begin(),
                           sealed.begin() + static_cast<std::ptrdiff_t>(len));
     std::size_t complete = 0;
-    while (boundaries[complete + 1] <= len) ++complete;
+    while (complete + 1 < boundaries.size() &&
+           boundaries[complete + 1] <= len) {
+      ++complete;
+    }
     std::size_t torn = 0;
     std::vector<JournalEvent> decoded;
     ASSERT_NO_THROW(decoded = decode_journal(cut, &torn)) << "length " << len;
@@ -191,11 +196,11 @@ TEST(JournalFuzz, InteriorTruncationCannotMasqueradeAsATornTail) {
 }
 
 TEST(JournalFuzz, TrailingGarbageSplitsByTheHeaderBoundary) {
-  // Fewer than a header's worth of trailing junk is indistinguishable from
-  // a half-written append: torn tail. A full (junk) header is checked and
-  // fails its CRC: corruption.
+  // Fewer than a length frame's worth of trailing junk is indistinguishable
+  // from a half-written append: torn tail. A full (junk) length frame is
+  // checked and fails: corruption.
   const auto events = full_battery();
-  for (std::size_t extra = 1; extra < 16; ++extra) {
+  for (std::size_t extra = 1; extra < kJournalLengthFrameBytes; ++extra) {
     auto sealed = encode_journal(events);
     sealed.resize(sealed.size() + extra, 0x5a);
     std::size_t torn = 0;
@@ -204,8 +209,38 @@ TEST(JournalFuzz, TrailingGarbageSplitsByTheHeaderBoundary) {
     EXPECT_EQ(torn, extra);
   }
   auto sealed = encode_journal(events);
-  sealed.resize(sealed.size() + 16, 0x5a);
+  sealed.resize(sealed.size() + kJournalLengthFrameBytes, 0x5a);
   EXPECT_THROW((void)decode_journal(sealed, nullptr), StoreError);
+}
+
+TEST(JournalFuzz, OldVersionRecordsAreRejectedNamingTheVersion) {
+  // The current layout with version 1 in the record frame: intact frames,
+  // so the rejection must name the version field, not a checksum.
+  constexpr FrameCodec kLength(0x504A4C4Eu, "length");  // "PJLN"
+  constexpr FrameCodec kRecord(0x504A5243u, "version", "kind");  // "PJRC"
+  const auto events = full_battery();
+  sim::Buffer old = encode_journal_event(events[1]);
+  const auto record_size = static_cast<std::uint32_t>(old.size() - 12);
+  kRecord.seal(old.data() + 12, record_size,
+               {1u, static_cast<std::uint32_t>(events[1].kind)});
+  kLength.seal(old.data(), 12, {record_size});
+  try {
+    (void)decode_journal(old, nullptr);
+    FAIL() << "version-1 record decoded";
+  } catch (const StoreError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job journal: record 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("version field at byte 4 is 1 (expected 2)"),
+              std::string::npos)
+        << what;
+  }
+
+  // A version-1 file — "PJ" | version 1 | kind | len | payload crc |
+  // header crc, then the payload — is corruption, never a torn tail.
+  sim::Buffer v1 = {'P', 'J', 1, 2, 20, 0, 0, 0};
+  v1.resize(16 + 20, 0x33);
+  std::size_t torn = 0;
+  EXPECT_THROW((void)decode_journal(v1, &torn), StoreError);
 }
 
 TEST(JournalFuzz, JobJournalLoadsAppendsAndReloads) {

@@ -202,6 +202,27 @@ TEST(ReliableChannel, MasksDropsAndCorruptionOnALossyLink) {
   EXPECT_EQ(channels[0].counters().sends, static_cast<std::uint64_t>(rounds));
 }
 
+TEST(ReliableChannel, FrameBytesArePinned) {
+  // Every attempt's frame is a modelled message charged to the virtual
+  // clock, so the frame layout feeds the makespan goldens. Pin the exact
+  // bytes of the first frame of a stream: magic "RELA", seq 0, attempt 0,
+  // CRC32 over seq, attempt and payload, then the payload.
+  SeqEngine engine(2);
+  ReliableChannel channel;
+  const Buffer payload = {0x10, 0x20, 0x30, 0x40, 0x50};
+  engine.run_phase([&](Comm& comm) {
+    if (comm.rank() == 0) channel.send(comm, 1, 4, payload);
+  });
+  engine.run_phase([&](Comm& comm) {
+    if (comm.rank() != 1) return;
+    const Buffer expected = {0x41, 0x4c, 0x45, 0x52, 0x00, 0x00, 0x00,
+                             0x00, 0x00, 0x00, 0x00, 0x00, 0x5f, 0x85,
+                             0xdf, 0x70, 0x10, 0x20, 0x30, 0x40, 0x50};
+    EXPECT_EQ(comm.recv(0, 4), expected);
+  });
+  EXPECT_EQ(ReliableChannel::kFrameHeaderBytes, 16u);
+}
+
 TEST(ReliableChannel, RecvDeadlineDoesNotAdvanceTheStream) {
   SeqEngine engine(2);
   std::vector<ReliableChannel> channels(2);

@@ -217,6 +217,31 @@ TEST(Analyzer, ServeRawWritesScopedToServeOutsideItsWritePaths) {
                   .empty());
 }
 
+TEST(Analyzer, HandRolledCrcFlaggedOutsideUtil) {
+  const auto findings = analyze_one(
+      load_fixture("hand_rolled_crc.cpp", "src/ddm/hand_rolled_crc.cpp"));
+  // The member named crc32 and the crc32( inside comments must not count.
+  ASSERT_EQ(findings.size(), 2u);
+  for (const auto& finding : findings) {
+    EXPECT_EQ(finding.rule, "one-frame-codec");
+    EXPECT_EQ(finding.file, "src/ddm/hand_rolled_crc.cpp");
+  }
+  EXPECT_EQ(findings[0].line, 12);
+  EXPECT_EQ(findings[1].line, 16);
+  EXPECT_TRUE(contains(findings[0].message, "FrameCodec"));
+}
+
+TEST(Analyzer, HandRolledCrcScopedToSrcOutsideUtil) {
+  // The codec itself lives in src/util, and harnesses outside src/ may
+  // checksum whatever they like.
+  EXPECT_TRUE(analyze_one(load_fixture("hand_rolled_crc.cpp",
+                                       "src/util/frame.cpp"))
+                  .empty());
+  EXPECT_TRUE(analyze_one(load_fixture("hand_rolled_crc.cpp",
+                                       "bench/hand_rolled_crc.cpp"))
+                  .empty());
+}
+
 TEST(Analyzer, IncludeCycleReportedOnce) {
   const auto findings = pcmd::analyze::analyze(
       {load_fixture("cycle_a.hpp", "src/util/cycle_a.hpp"),

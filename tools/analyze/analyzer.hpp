@@ -22,6 +22,8 @@
 //   wire-pairing         every pack_X definition has an unpack_X in the
 //                        same file, with matching put/get call counts and
 //                        matching member-field sets
+//   one-frame-codec      no crc32( call in src/ outside src/util — CRC
+//                        framing goes through util/frame.hpp's FrameCodec
 //
 // Library API so the rule battery is unit-testable (tests/tools); the
 // `pcmd-analyze` binary in main.cpp is a thin CLI over analyze().

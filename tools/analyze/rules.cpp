@@ -279,6 +279,34 @@ void rule_serve_durable_writes(const Unit& unit,
   }
 }
 
+// ---- one frame codec ------------------------------------------------------
+//
+// Every CRC-protected byte image (wire messages, reliable-channel frames,
+// checkpoints, journal records) goes through util/frame.hpp's FrameCodec.
+// A crc32( call anywhere else in src/ is a hand-rolled framing on its way
+// back — its own layout, error text and fuzz battery beside the shared one.
+
+void rule_one_frame_codec(const Unit& unit, std::vector<Finding>& findings) {
+  const auto& path = unit.source->path;
+  if (!starts_with(path, "src/") || starts_with(path, "src/util/")) return;
+  const auto& tokens = unit.tokens;
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (tokens[i].kind != Token::Kind::kIdentifier ||
+        tokens[i].text != "crc32") {
+      continue;
+    }
+    if (tokens[i + 1].kind != Token::Kind::kPunct ||
+        tokens[i + 1].text != "(") {
+      continue;
+    }
+    findings.push_back(
+        {"one-frame-codec", path, tokens[i].line,
+         "crc32( outside src/util — frame and check CRC-protected bytes "
+         "with util/frame.hpp's FrameCodec instead of a hand-rolled "
+         "framing"});
+  }
+}
+
 // ---- naked assert ---------------------------------------------------------
 //
 // assert vanishes under NDEBUG, aborts instead of reporting, and carries no
@@ -520,6 +548,7 @@ void rule_wire_pairing(const Unit& unit, std::vector<Finding>& findings) {
   // about which wire fields the function touches.
   static const std::set<std::string> kInfra = {
       "put",      "put_vector", "get",     "get_vector", "take",
+      "put_string", "get_string",
       "exhausted", "remaining", "data",    "size",       "begin",
       "end",      "empty",      "push_back", "emplace_back", "reserve",
       "resize",   "clear",      "back",    "front",      "what",
@@ -608,6 +637,7 @@ void run_rules(const std::vector<Source>& sources,
     rule_unordered_container(unit, findings);
     rule_wall_clock(unit, findings);
     rule_serve_durable_writes(unit, findings);
+    rule_one_frame_codec(unit, findings);
     rule_naked_assert(unit, findings);
     rule_pointer_key(unit, findings);
     rule_hot_alloc(unit, findings);
