@@ -13,6 +13,7 @@
 
 #include "ddm/parallel_md.hpp"
 #include "ddm/slab_md.hpp"
+#include "run/run_spec.hpp"
 #include "sim/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -23,11 +24,17 @@
 
 using namespace pcmd;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "ablation_baseline_1d",
+    .synopsis = "[--steps N] [--density R] [--pe P]"};
+
+int run_main(const Cli& cli) {
   const int steps = static_cast<int>(cli.get_int("steps", 600));
   const double density = cli.get_double("density", 0.384);
   const int pe = static_cast<int>(cli.get_int("pe", 9));
+  run::require_known_flags(cli, kUsage);
 
   // m = 4 gives K = 12 cell layers: enough for a 9-PE slab ring (the slab
   // needs at least one layer per PE — its granularity problem in a
@@ -52,7 +59,10 @@ int main(int argc, char** argv) {
   pillar_config.dt = spec.dt;
   pillar_config.rescale_temperature = spec.temperature;
   pillar_config.dlb_enabled = true;
-  ddm::ParallelMd pillar(pillar_engine, spec.box(), initial, pillar_config);
+  ddm::ParallelMd pillar(ddm::EngineConfig{.engine = &pillar_engine,
+                                           .box = spec.box(),
+                                           .initial = &initial},
+                         pillar_config);
 
   // Slab ring, static and shifting.
   auto make_slab = [&](bool shift) {
@@ -65,9 +75,13 @@ int main(int argc, char** argv) {
     return config;
   };
   sim::SeqEngine slab_engine(pe);
-  ddm::SlabMd slab(slab_engine, spec.box(), initial, make_slab(true));
+  ddm::SlabMd slab(ddm::EngineConfig{.engine = &slab_engine, .box = spec.box(),
+                                     .initial = &initial},
+                   make_slab(true));
   sim::SeqEngine static_engine(pe);
-  ddm::SlabMd slab_static(static_engine, spec.box(), initial,
+  ddm::SlabMd slab_static(ddm::EngineConfig{.engine = &static_engine,
+                                            .box = spec.box(),
+                                            .initial = &initial},
                           make_slab(false));
 
   const int interval = std::max(1, steps / 9);
@@ -106,4 +120,10 @@ int main(int argc, char** argv) {
             "condensation more closely — the reason the paper builds on "
             "square pillars.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

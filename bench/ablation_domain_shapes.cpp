@@ -10,6 +10,7 @@
 //   ./ablation_domain_shapes [--cells 48]
 
 #include "ddm/comm_volume.hpp"
+#include "run/run_spec.hpp"
 #include "sim/cost_model.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -34,9 +35,15 @@ std::optional<ddm::CommProfile> try_profile(ddm::DomainShape shape, int cells,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "ablation_domain_shapes",
+    .synopsis = "[--cells K]"};
+
+int run_main(const Cli& cli) {
   const int cells = static_cast<int>(cli.get_int("cells", 48));
+  run::require_known_flags(cli, kUsage);
 
   std::printf("== Ablation A1: domain shapes at K = %d cells/axis "
               "(C = %d) ==\n\n",
@@ -77,4 +84,10 @@ int main(int argc, char** argv) {
             "with 8 fixed neighbours is what makes permanent-cell DLB "
             "tractable (the paper's motivation).");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

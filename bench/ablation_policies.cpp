@@ -24,6 +24,7 @@
 
 #include "ddm/balancer.hpp"
 #include "ddm/parallel_md.hpp"
+#include "run/run_spec.hpp"
 #include "theory/synthetic_balance.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -34,6 +35,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -177,7 +179,10 @@ BakeResult run_bakeoff(ddm::BalancerKind kind, const std::string& shape,
   const Box box = Box::cubic(config.pe_side * config.m * config.cutoff);
 
   sim::SeqEngine engine(config.pe_side * config.pe_side);
-  ddm::ParallelMd md(engine, box, bake_workload(shape, box), config);
+  const auto gas = bake_workload(shape, box);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = box,
+                                       .initial = &gas},
+                     config);
 
   BakeResult result;
   result.policy = ddm::balancer_name(kind);
@@ -223,8 +228,7 @@ void write_bakeoff_json(const std::string& path,
   std::printf("bake-off JSON written to %s\n", path.c_str());
 }
 
-void run_bakeoff_study(const Cli& cli) {
-  const int steps = static_cast<int>(cli.get_int("bake-steps", 60));
+void run_bakeoff_study(int steps, const std::optional<std::string>& json) {
   std::puts("\n== Bake-off: balancer policy x workload (real ParallelMd) ==\n");
   Table table({"policy", "workload", "makespan", "mean imb", "late imb",
                "transfers", "cells moved"});
@@ -243,17 +247,26 @@ void run_bakeoff_study(const Cli& cli) {
   table.print(std::cout);
   std::puts("(makespan: summed virtual step seconds; imb: fractional load "
             "imbalance Fmax/Fave - 1; late imb: last quarter of the run)");
-  if (const auto json = cli.get_optional("json")) {
-    write_bakeoff_json(*json, results);
-  }
+  if (json) write_bakeoff_json(*json, results);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
-  if (cli.get_bool("bake-only", false)) {
-    run_bakeoff_study(cli);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "ablation_policies",
+    .synopsis = "[--pe-side S] [--m M] [--steps N] [--bake-steps N] "
+                "[--json PATH] [--bake-only]"};
+
+int run_main(const Cli& cli) {
+  const theory::SyntheticBalanceConfig base = base_config(cli);
+  const int bake_steps = static_cast<int>(cli.get_int("bake-steps", 60));
+  const auto json = cli.get_optional("json");
+  const bool bake_only = cli.get_bool("bake-only", false);
+  run::require_known_flags(cli, kUsage);
+  if (bake_only) {
+    run_bakeoff_study(bake_steps, json);
     return 0;
   }
 
@@ -273,7 +286,7 @@ int main(int argc, char** argv) {
     };
     for (const auto& p : policies) {
       for (const bool fallback : {false, true}) {
-        auto config = base_config(cli);
+        auto config = base;
         config.dlb.policy = p.policy;
         config.dlb.fallback_to_helpable = fallback;
         const auto outcome = evaluate(config);
@@ -291,7 +304,7 @@ int main(int argc, char** argv) {
     Table table({"avoid overshoot", "mean spread", "late spread",
                  "transfers"});
     for (const bool avoid : {true, false}) {
-      auto config = base_config(cli);
+      auto config = base;
       config.dlb.fallback_to_helpable = true;
       config.dlb.avoid_overshoot = avoid;
       const auto outcome = evaluate(config);
@@ -310,7 +323,7 @@ int main(int argc, char** argv) {
   {
     Table table({"min gap", "mean spread", "late spread", "transfers"});
     for (const double gap : {0.0, 0.02, 0.05, 0.1, 0.25, 0.5}) {
-      auto config = base_config(cli);
+      auto config = base;
       config.dlb.fallback_to_helpable = true;
       config.dlb.min_relative_gap = gap;
       const auto outcome = evaluate(config);
@@ -325,7 +338,7 @@ int main(int argc, char** argv) {
   {
     Table table({"interval", "mean spread", "late spread", "transfers"});
     for (const int interval : {1, 2, 5, 10, 25, 100}) {
-      auto config = base_config(cli);
+      auto config = base;
       config.dlb.fallback_to_helpable = true;
       config.dlb.interval = interval;
       const auto outcome = evaluate(config);
@@ -339,13 +352,19 @@ int main(int argc, char** argv) {
 
   std::puts("\nno-DLB baseline:");
   {
-    auto config = base_config(cli);
+    auto config = base;
     config.dlb_enabled = false;
     const auto outcome = evaluate(config);
     std::printf("  mean spread %.3f, late spread %.3f, transfers %d\n",
                 outcome.mean_spread, outcome.late_spread, outcome.transfers);
   }
 
-  run_bakeoff_study(cli);
+  run_bakeoff_study(bake_steps, json);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

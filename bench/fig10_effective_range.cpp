@@ -11,6 +11,7 @@
 //   ./fig10_effective_range [--pe-side 6] [--steps 500] [--reps 3]
 //                           [--full-md]
 
+#include "run/run_spec.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
@@ -60,12 +61,20 @@ void print_panel(const theory::EffectiveRangeResult& result) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "fig10_effective_range",
+    .synopsis = "[--pe-side S] [--steps N] [--reps R] [--full-md] "
+                "[--md-steps N]"};
+
+int run_main(const Cli& cli) {
   const int pe_side = static_cast<int>(cli.get_int("pe-side", 6));
   const int steps = static_cast<int>(cli.get_int("steps", 500));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const bool full_md = cli.get_bool("full-md", false);
+  const int md_steps = static_cast<int>(cli.get_int("md-steps", 4000));
+  run::require_known_flags(cli, kUsage);
 
   std::printf("== Figure 10: theoretical upper bounds vs experimental "
               "boundary points (%d virtual PEs) ==\n\n",
@@ -89,7 +98,7 @@ int main(int argc, char** argv) {
       config.spec.m = 2;
       config.spec.density = density;
       config.spec.seed = 11;
-      config.steps = static_cast<int>(cli.get_int("md-steps", 4000));
+      config.steps = md_steps;
       config.dlb_enabled = true;
       const auto run = run_md_trajectory(config);
       const auto point = theory::extract_boundary_point(
@@ -109,4 +118,10 @@ int main(int argc, char** argv) {
             "theoretical upper bound; the fitted experimental boundary "
             "tracks the bound's 1/(an+b) shape from below.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -127,8 +127,14 @@ void print_case(const char* title, const CaseResult& result, int interval) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "fig5_exec_time",
+    .synopsis = "[--full] [--interval N]",
+    .run_flags = true};
+
+int run_main(const Cli& cli) {
   const bool full = cli.get_bool("full", false);
   run::RunSpec defaults;
   defaults.system.pe_count = full ? 36 : 9;
@@ -139,7 +145,7 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(base.steps);
   const int interval =
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 12)));
-  run::require_all_flags_consumed(cli, "fig5_exec_time");
+  run::require_known_flags(cli, kUsage);
 
   std::printf("== Figure 5: time per step, DDM vs DLB-DDM (%d virtual PEs, "
               "T3E cost model, T*=0.722, rho*=%.3f) ==\n\n",
@@ -162,4 +168,10 @@ int main(int argc, char** argv) {
   std::puts("paper shape: DDM's per-step time climbs as the gas condenses; "
             "DLB-DDM stays nearly flat, more clearly at m = 4 than m = 2.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -78,8 +78,14 @@ void export_run(const std::string& base, obs::TraceCollector& collector,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "fig6_force_breakdown",
+    .synopsis = "[--full] [--interval N]",
+    .run_flags = true};
+
+int run_main(const Cli& cli) {
   const bool full = cli.get_bool("full", false);
   run::RunSpec defaults;
   defaults.system.pe_count = full ? 36 : 9;
@@ -91,7 +97,7 @@ int main(int argc, char** argv) {
   const int steps = static_cast<int>(spec.steps);
   const int interval =
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 12)));
-  run::require_all_flags_consumed(cli, "fig6_force_breakdown");
+  run::require_known_flags(cli, kUsage);
 
   auto config = spec.trajectory_config();
   const auto& trace = spec.trace_path;
@@ -130,4 +136,10 @@ int main(int argc, char** argv) {
   std::puts("paper shape: Tt follows Fmax in both; DLB-DDM holds "
             "Fmax ~ Fave ~ Fmin until concentration exceeds the DLB limit.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -9,6 +9,7 @@
 //   ./fig9_trajectory [--steps 1500] [--interval 100] [--density 0.384]
 //                     [--m 3] [--seed 2] [--full]
 
+#include "run/run_spec.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
@@ -19,8 +20,14 @@
 
 using namespace pcmd;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "fig9_trajectory",
+    .synopsis = "[--full] [--steps N] [--interval N] [--m M] [--density R] "
+                "[--seed S]"};
+
+int run_main(const Cli& cli) {
   const bool full = cli.get_bool("full", false);
   const int steps = static_cast<int>(cli.get_int("steps", full ? 8000 : 2500));
   const int interval =
@@ -33,6 +40,7 @@ int main(int argc, char** argv) {
   config.spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2));
   config.steps = steps;
   config.dlb_enabled = true;
+  run::require_known_flags(cli, kUsage);
 
   std::printf("== Figure 9: (n, C0/C) trajectory of one DLB-DDM run "
               "(%d PEs, m=%d, rho*=%.3f) ==\n\n",
@@ -78,4 +86,10 @@ int main(int argc, char** argv) {
             "condensation proceeds; the boundary appears where the force "
             "spread starts growing.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

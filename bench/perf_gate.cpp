@@ -111,8 +111,15 @@ double run_slab8(sim::Engine& engine, std::int64_t n, std::int64_t steps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "perf_gate",
+    .synopsis = "[--repeats R] [--out PATH] [--check PATH] [--tolerance F] "
+                "[--merge 0|1]",
+    .run_flags = true};
+
+int run_main(const Cli& cli) {
   run::RunSpec defaults;
   defaults.system.pe_count = 9;
   defaults.system.m = 4;
@@ -127,7 +134,7 @@ int main(int argc, char** argv) {
   const auto check_path = cli.get_optional("check");
   const double tolerance = cli.get_double("tolerance", 0.15);
   const bool merge = cli.get_bool("merge", false);
-  run::require_all_flags_consumed(cli, "perf_gate");
+  run::require_known_flags(cli, kUsage);
 
   const std::int64_t serial_n = 4000;
   const std::int64_t serial_steps = 25;
@@ -182,4 +189,10 @@ int main(int argc, char** argv) {
     std::puts("perf gate passed.");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -27,6 +27,7 @@
 
 #include "scoreboard.hpp"
 
+#include "run/run_spec.hpp"
 #include "serve/scheduler.hpp"
 #include "util/cli.hpp"
 
@@ -63,8 +64,14 @@ double run_queue(const std::vector<std::string>& specs, int workers,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "serve_gate",
+    .synopsis = "[--jobs N] [--workers W] [--repeats R] [--store PATH] "
+                "[--out PATH] [--merge 0|1] [--check PATH] [--tolerance F]"};
+
+int run_main(const Cli& cli) {
   const int jobs = static_cast<int>(cli.get_int("jobs", 48));
   const int workers = static_cast<int>(cli.get_int("workers", 4));
   const int repeats = static_cast<int>(cli.get_int("repeats", 3));
@@ -73,15 +80,7 @@ int main(int argc, char** argv) {
   const bool merge = cli.get_bool("merge", false);
   const auto check_path = cli.get_optional("check");
   const double tolerance = cli.get_double("tolerance", 0.15);
-  const auto unknown = cli.unqueried_flags();
-  if (!unknown.empty()) {
-    std::fprintf(stderr,
-                 "serve_gate: unknown flag --%s (accepted: --jobs N, "
-                 "--workers W, --repeats R, --store PATH, --out PATH, "
-                 "--merge 0|1, --check PATH, --tolerance F)\n",
-                 unknown.front().c_str());
-    return 2;
-  }
+  run::require_known_flags(cli, kUsage);
 
   std::vector<std::string> specs;
   specs.reserve(jobs);
@@ -120,4 +119,10 @@ int main(int argc, char** argv) {
     std::puts("serve gate passed.");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

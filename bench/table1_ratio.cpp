@@ -8,6 +8,7 @@
 //
 //   ./table1_ratio [--steps 400] [--reps 2] [--full]
 
+#include "run/run_spec.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -18,13 +19,19 @@
 
 using namespace pcmd;
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "table1_ratio",
+    .synopsis = "[--full] [--steps N] [--reps R]"};
+
+int run_main(const Cli& cli) {
   const bool full = cli.get_bool("full", false);
   // m = 4 holds out longest; the horizon must reach past its DLB limit or
   // its cell reports "-" (no boundary found = balancing never broke).
   const int steps = static_cast<int>(cli.get_int("steps", full ? 800 : 550));
   const int reps = static_cast<int>(cli.get_int("reps", full ? 3 : 2));
+  run::require_known_flags(cli, kUsage);
 
   std::puts("== Table 1: ratio E/T of experimental boundary to theoretical "
             "upper bound ==\n");
@@ -69,4 +76,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

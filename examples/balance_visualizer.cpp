@@ -12,6 +12,7 @@
 #include "core/dlb_protocol.hpp"
 #include "core/pillar_layout.hpp"
 #include "md/cell_grid.hpp"
+#include "run/run_spec.hpp"
 #include "util/cli.hpp"
 #include "workload/synthetic.hpp"
 
@@ -51,12 +52,18 @@ void render(const core::PillarLayout& layout, const core::ColumnMap& map,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "balance_visualizer",
+    .synopsis = "[--pe-side S] [--m M] [--steps N] [--frames F]"};
+
+int run_main(const Cli& cli) {
   const int pe_side = static_cast<int>(cli.get_int("pe-side", 3));
   const int m = static_cast<int>(cli.get_int("m", 4));
   const int steps = static_cast<int>(cli.get_int("steps", 240));
   const int frames = static_cast<int>(cli.get_int("frames", 4));
+  run::require_known_flags(cli, kUsage);
 
   const core::PillarLayout layout(pe_side, m);
   const int k = layout.cells_axis();
@@ -117,4 +124,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

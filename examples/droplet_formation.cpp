@@ -11,6 +11,7 @@
 
 #include "ddm/parallel_md.hpp"
 #include "md/rdf.hpp"
+#include "run/run_spec.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/cluster.hpp"
@@ -19,9 +20,14 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr pcmd::run::Usage kUsage{
+    .program = "droplet_formation",
+    .synopsis = "[--m M] [--density R] [--seed S] [--steps N]"};
+
+int run_main(const pcmd::Cli& cli) {
   using namespace pcmd;
-  const Cli cli(argc, argv);
 
   workload::PaperSystemSpec spec;
   spec.pe_count = 9;
@@ -29,6 +35,7 @@ int main(int argc, char** argv) {
   spec.density = cli.get_double("density", 0.256);
   spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
   const auto steps = cli.get_int("steps", 600);
+  run::require_known_flags(cli, kUsage);
 
   Rng rng(spec.seed);
   const auto initial = workload::make_paper_system(spec, rng);
@@ -50,8 +57,14 @@ int main(int argc, char** argv) {
   ddm_config.dlb_enabled = false;
   auto dlb_config = base;
   dlb_config.dlb_enabled = true;
-  ddm::ParallelMd ddm_md(ddm_engine, spec.box(), initial, ddm_config);
-  ddm::ParallelMd dlb_md(dlb_engine, spec.box(), initial, dlb_config);
+  ddm::ParallelMd ddm_md(ddm::EngineConfig{.engine = &ddm_engine,
+                                           .box = spec.box(),
+                                           .initial = &initial},
+                         ddm_config);
+  ddm::ParallelMd dlb_md(ddm::EngineConfig{.engine = &dlb_engine,
+                                           .box = spec.box(),
+                                           .initial = &initial},
+                         dlb_config);
 
   Table table({"step", "largest cluster", "clusters", "empty cells",
                "DDM imb", "DLB imb", "transfers"});
@@ -97,4 +110,10 @@ int main(int argc, char** argv) {
   std::puts("(condensation concentrates load; DLB-DDM should stay flatter "
             "as clusters grow — run with --steps 3000+ to see it clearly)");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return pcmd::run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -28,6 +28,7 @@
 // jobs succeed first try, and the process survives it all (the run itself
 // is the zero-service-crashes check).
 
+#include "run/run_spec.hpp"
 #include "serve/scheduler.hpp"
 #include "util/cli.hpp"
 
@@ -132,23 +133,21 @@ void check(bool ok, const std::string& what) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Cli cli(argc, argv);
+namespace {
+
+constexpr run::Usage kUsage{
+    .program = "pcmd_serve",
+    .synopsis = "[--jobs N] [--workers W] [--max-attempts A] [--store PATH] "
+                "[--journal PATH] [--quiet 0|1]"};
+
+int run_main(const Cli& cli) {
   const int jobs = static_cast<int>(cli.get_int("jobs", 120));
   const int workers = static_cast<int>(cli.get_int("workers", 4));
   const int max_attempts = static_cast<int>(cli.get_int("max-attempts", 3));
   const std::string store_path = cli.get("store", "serve_results.jsonl");
   const std::string journal_path = cli.get("journal", "");
   const bool quiet = cli.get_bool("quiet", false);
-  const auto unknown = cli.unqueried_flags();
-  if (!unknown.empty()) {
-    std::fprintf(stderr,
-                 "pcmd_serve: unknown flag --%s (accepted: --jobs N, "
-                 "--workers W, --max-attempts A, --store PATH, "
-                 "--journal PATH, --quiet 0|1)\n",
-                 unknown.front().c_str());
-    return 2;
-  }
+  run::require_known_flags(cli, kUsage);
 
   const bool journaling = !journal_path.empty();
   // Without a journal every run starts cold. With one, existing files ARE
@@ -291,4 +290,10 @@ int main(int argc, char** argv) {
   }
   std::puts("SERVE-OK");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -9,6 +9,7 @@
 //                [--dlb true] [--seed 7]
 
 #include "ddm/parallel_md.hpp"
+#include "run/run_spec.hpp"
 #include "sim/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -17,9 +18,15 @@
 #include <cstdio>
 #include <iostream>
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr pcmd::run::Usage kUsage{
+    .program = "quickstart",
+    .synopsis = "[--pe-side S] [--m M] [--density R] [--seed S] [--steps N] "
+                "[--dlb 0|1]"};
+
+int run_main(const pcmd::Cli& cli) {
   using namespace pcmd;
-  const Cli cli(argc, argv);
 
   // 1. Describe the system exactly as the paper does: P PEs, pillar
   //    cross-section m, reduced density and temperature.
@@ -31,6 +38,7 @@ int main(int argc, char** argv) {
   spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   const auto steps = cli.get_int("steps", 300);
   const bool dlb = cli.get_bool("dlb", true);
+  run::require_known_flags(cli, kUsage);
 
   std::printf("pcmd quickstart: P=%d PEs, m=%d, C=%lld cells, N=%lld "
               "particles, T*=%.3f, rho*=%.3f, DLB=%s\n",
@@ -52,7 +60,9 @@ int main(int argc, char** argv) {
   config.rescale_temperature = spec.temperature;
   config.rescale_interval = spec.rescale_interval;
   config.dlb_enabled = dlb;
-  ddm::ParallelMd md(engine, spec.box(), initial, config);
+  ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
+                                       .initial = &initial},
+                     config);
 
   // 4. Run, reporting every 50 steps.
   Table table({"step", "T*", "E_pot/N", "Tt [s]", "Fmax/Fmin", "transfers"});
@@ -79,4 +89,10 @@ int main(int argc, char** argv) {
   const auto ownership = md.check_ownership();
   std::printf("ownership invariants: %s\n", ownership.ok ? "OK" : "VIOLATED");
   return ownership.ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return pcmd::run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -65,12 +65,13 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
   // fault_plan() folds the degrade stall into any --faults plan.
   sim::FaultInjector injector(spec.fault_plan());
 
-  sim::SeqEngine engine(spec.system.pe_count);
+  const ddm::ParallelMdConfig config = spec.parallel_config();
+  sim::SeqEngine engine(ddm::engine_rank_count(config));
   engine.set_fault_injector(&injector);
   ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine,
                                        .box = spec.system.box(),
                                        .initial = &initial},
-                     spec.parallel_config());
+                     config);
 
   std::printf("== degrade mode: rank %d slows %.1fx at t=%g s (3x3, m=%d, "
               "DLB on) ==\n",
@@ -128,9 +129,15 @@ int run_degrade_mode(const pcmd::run::RunSpec& base) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr pcmd::run::Usage kUsage{
+    .program = "scaling_study",
+    .synopsis = "",
+    .run_flags = true};
+
+int run_main(const pcmd::Cli& cli) {
   using namespace pcmd;
-  const Cli cli(argc, argv);
   run::RunSpec defaults;
   defaults.system.m = 2;
   defaults.system.density = 0.256;
@@ -139,7 +146,7 @@ int main(int argc, char** argv) {
   defaults.dlb_enabled = true;
   const bool m_given = cli.has("m");
   run::RunSpec base = run::parse_run_spec(cli, defaults);
-  run::require_all_flags_consumed(cli, "scaling_study");
+  run::require_known_flags(cli, kUsage);
   if (base.degrade) {
     // Default to m = 4 here (movable fraction 9/16): at m = 2 only 1/4 of a
     // PE's columns may move, which caps how much load the DLB can drain off
@@ -152,8 +159,6 @@ int main(int argc, char** argv) {
   std::optional<sim::FaultInjector> injector;
   if (!faults.empty()) injector.emplace(faults);
   const int checkpoint_every = base.checkpoint_every;
-  const int spares = base.fault_tolerance.healing.spares;
-  const bool healing = base.healing_enabled();
   const std::int64_t steps = base.steps;
 
   std::puts("== weak scaling: fixed density, growing PE grid ==");
@@ -166,14 +171,14 @@ int main(int argc, char** argv) {
     Rng rng(spec.seed);
     const auto initial = workload::make_paper_system(spec, rng);
 
-    sim::SeqEngine engine(spec.pe_count + (healing ? spares : 0));
+    ddm::ParallelMdConfig config = case_spec.parallel_config();
+    sim::SeqEngine engine(ddm::engine_rank_count(config));
     if (injector) engine.set_fault_injector(&*injector);
     obs::TraceSession session(
         engine, case_spec.trace_path ? *case_spec.trace_path + ".p" +
                                            std::to_string(spec.pe_count) +
                                            ".json"
                                      : "");
-    ddm::ParallelMdConfig config = case_spec.parallel_config();
     config.trace = session.collector();
     ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
                                          .initial = &initial},
@@ -211,7 +216,7 @@ int main(int argc, char** argv) {
       std::printf("p%d: %d checkpoints, last %zu bytes\n", spec.pe_count,
                   checkpoints_taken, last_checkpoint.size());
     }
-    if (healing) {
+    if (base.healing_enabled()) {
       const auto& rc = md.recovery_counters();
       std::printf("RECOVERY-COUNTERS p%d: checkpoint_bytes=%llu "
                   "generations=%llu rollbacks=%llu failovers=%llu "
@@ -269,4 +274,10 @@ int main(int argc, char** argv) {
   std::puts("\nsquare pillar keeps 8 neighbours with moderate halo volume — "
             "the mid-size sweet spot the paper builds DLB on.");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return pcmd::run::guarded_main(argc, argv, kUsage, run_main);
 }

@@ -1,11 +1,7 @@
-// Shared construction context for the ddm engines.
-//
-// ParallelMd and SlabMd historically took their execution context as a run
-// of positional constructor arguments — (engine, box, initial particles) or
-// (engine, checkpoint). EngineConfig names those pieces once, so call sites
-// (and the run::RunSpec layer built on top of the engines) read
-// declaratively and new context can be added without widening every
-// constructor. The positional constructors remain as thin forwarding shims.
+// Shared construction context for the ddm engines: the only way to build a
+// ParallelMd or SlabMd. It names the machine and either the fresh-start
+// (box, initial) pair or a checkpoint, so call sites read declaratively and
+// new context can be added without widening every constructor.
 #pragma once
 
 #include "md/particle.hpp"

@@ -29,24 +29,13 @@ std::pair<int, int> decode_composite(double value) {
   return {hi, lo};
 }
 
-// Engine rank count the configuration demands: the decomposition's P, plus
-// the spare pool when self-healing is on. Validated before Membership is
-// built so a bad count fails with engine-level provenance.
-int validated_rank_count(const sim::Engine& engine,
-                         const core::PillarLayout& layout,
-                         const ParallelMdConfig& config) {
-  const auto& healing = config.fault_tolerance.healing;
-  const int spares = healing.enabled ? std::max(healing.spares, 0) : 0;
-  if (engine.size() != layout.pe_count() + spares) {
-    throw std::invalid_argument(
-        healing.enabled
-            ? "ParallelMd: engine rank count must equal pe_side^2 + "
-              "healing.spares"
-            : "ParallelMd: engine rank count must equal pe_side^2");
-  }
-  return engine.size();
-}
 }  // namespace
+
+int engine_rank_count(const ParallelMdConfig& config) {
+  const auto& healing = config.fault_tolerance.healing;
+  return config.pe_side * config.pe_side +
+         (healing.enabled ? std::max(healing.spares, 0) : 0);
+}
 
 ParallelMd::ParallelMd(const EngineConfig& setup,
                        const ParallelMdConfig& config)
@@ -60,9 +49,13 @@ ParallelMd::ParallelMd(const EngineConfig& setup,
       lj_(config.cutoff),
       integrator_(config.dt),
       balancer_(make_balancer(layout_, config.dlb, config.balancer)),
-      membership_(layout_.pe_count(),
-                  validated_rank_count(*setup.engine, layout_, config)),
+      membership_(layout_.pe_count(), engine_rank_count(config)),
       watchdog_(config.fault_tolerance.healing) {
+  if (engine_->size() != engine_rank_count(config)) {
+    throw std::invalid_argument(
+        "ParallelMd: engine rank count must equal pe_side^2 (+ "
+        "healing.spares when healing is enabled)");
+  }
   if (config.rescale_temperature) {
     thermostat_.emplace(*config.rescale_temperature, config.rescale_interval);
   }
@@ -72,18 +65,6 @@ ParallelMd::ParallelMd(const EngineConfig& setup,
     init_fresh(setup.box, *setup.initial);
   }
 }
-
-ParallelMd::ParallelMd(sim::Engine& engine, const Box& box,
-                       const md::ParticleVector& initial,
-                       const ParallelMdConfig& config)
-    : ParallelMd(EngineConfig{.engine = &engine, .box = box,
-                              .initial = &initial},
-                 config) {}
-
-ParallelMd::ParallelMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-                       const ParallelMdConfig& config)
-    : ParallelMd(EngineConfig{.engine = &engine, .checkpoint = &checkpoint},
-                 config) {}
 
 void ParallelMd::init_fresh(const Box& box,
                             const md::ParticleVector& initial) {
@@ -110,11 +91,11 @@ void ParallelMd::init_fresh(const Box& box,
     ranks_[layout_.home_rank(col)]->owned.push_back(particle);
   }
 
-  finish_construction(false, {});
+  finish_construction(false);
 }
 
 void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
-  const auto last_busy = md::decode_checkpoint(
+  ranks_ = md::decode_checkpoint(
       md::CheckpointKind::kParallel, "ParallelMd checkpoint", checkpoint,
       [&](sim::Unpacker& unpacker) {
         const auto pe_side = unpacker.get<std::int32_t>();
@@ -133,9 +114,7 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
           throw md::CheckpointError(
               "ParallelMd: checkpointed box too small for this cut-off");
         }
-        std::vector<double> busy(static_cast<std::size_t>(layout_.pe_count()),
-                                 0.0);
-        ranks_.reserve(layout_.pe_count());
+        std::vector<std::unique_ptr<Rank>> ranks;
         for (int r = 0; r < layout_.pe_count(); ++r) {
           auto rank = std::make_unique<Rank>(layout_);
           rank->owned = unpacker.get_vector<md::Particle>();
@@ -147,17 +126,16 @@ void ParallelMd::init_resume(const sim::Buffer& checkpoint) {
           for (int col = 0; col < layout_.num_columns(); ++col) {
             rank->map.set_owner(col, owners[static_cast<std::size_t>(col)]);
           }
-          busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
+          rank->restored_last_busy = unpacker.get<double>();
           rank->force_seconds = unpacker.get<double>();
-          ranks_.push_back(std::move(rank));
+          ranks.push_back(std::move(rank));
         }
-        return busy;
+        return ranks;
       });
-  finish_construction(true, last_busy);
+  finish_construction(true);
 }
 
-void ParallelMd::finish_construction(
-    bool resume, const std::vector<double>& resume_last_busy) {
+void ParallelMd::finish_construction(bool resume) {
   // Self-healing subsumes the lower fault-tolerance layers: buddy envelopes
   // and restore traffic must survive a lossy link, so reliable routing is
   // mandatory (crash detection reuses the recv_timeout machinery).
@@ -209,50 +187,31 @@ void ParallelMd::finish_construction(
     }
   }
 
-  run_init_phases();
-  if (resume) {
-    for (int r = 0; r < layout_.pe_count(); ++r) {
-      ranks_[static_cast<std::size_t>(r)]->last_busy =
-          resume_last_busy[static_cast<std::size_t>(r)];
-    }
-  }
+  run_init_phases(resume);
 }
 
-void ParallelMd::run_init_phases() {
-  // Initial force computation so the first step's drift has f(t). On resume
-  // (checkpoint constructor or rollback) the forces recompute bitwise from
-  // the restored positions; the restored busy times then overwrite what this
-  // phase charged, because they — not the init cost — drive the next DLB
-  // decision.
-  engine_->run_phase([this](sim::Comm& comm) {
-    const int me = membership_.role_of(comm.rank());
-    if (me < 0) return;  // spare or roleless host: idle at the barrier
+void ParallelMd::run_init_phases(bool resume) {
+  // Initial forces for the first step's drift: phases D/E's halo and force
+  // code under the init tag. A resume (checkpoint or rollback) keeps the
+  // restored busy times, not the init charge, to drive the next DLB decision.
+  run_role_phase([this](sim::Comm& comm, int me) {
     send_halo(comm, *ranks_[static_cast<std::size_t>(me)], me, kTagInitHalo);
   });
-  engine_->run_phase([this](sim::Comm& comm) {
-    const int me = membership_.role_of(comm.rank());
-    if (me < 0) return;
+  run_role_phase([this, resume](sim::Comm& comm, int me) {
     Rank& rank = *ranks_[static_cast<std::size_t>(me)];
     absorb_halo(comm, rank, me, kTagInitHalo);
-    rank.bins.rebuild(grid_, rank.with_halo);
-    auto& targets = rank.target_cells;
-    targets.clear();
-    for (const int col : owned_columns(rank, me)) {
-      const auto [cx, cy] = layout_.column_coord(col);
-      for (int z = 0; z < grid_.nz(); ++z) {
-        targets.push_back(grid_.flat_index({cx, cy, z}));
-      }
-    }
-    std::sort(targets.begin(), targets.end());
-    const auto result = md::accumulate_forces(
-        rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-    const double cost =
-        engine_->model().pair_cost * result.pair_evaluations +
-        engine_->model().cell_cost * targets.size();
     rank.busy_accum = 0.0;
-    rank.last_busy = advance_compute(comm, rank, cost);
-    rank.owned.assign(rank.with_halo.begin(),
-                      rank.with_halo.begin() + rank.owned.size());
+    const double charged = compute_forces(comm, rank, me).cost;
+    rank.last_busy = resume ? rank.restored_last_busy : charged;
+  });
+}
+
+void ParallelMd::run_role_phase(
+    const std::function<void(sim::Comm&, int)>& body) {
+  engine_->run_phase([this, &body](sim::Comm& comm) {
+    const int me = membership_.role_of(comm.rank());
+    if (me < 0) return;  // spare or roleless host: idle at the barrier
+    body(comm, me);
   });
 }
 
@@ -324,16 +283,8 @@ int ParallelMd::column_of_position(const Vec3& position) const {
   return layout_.column_id(cell.x, cell.y);
 }
 
-std::vector<int> ParallelMd::owned_columns(const Rank& rank,
-                                           int rank_id) const {
-  return rank.map.columns_of(rank_id);
-}
-
 double ParallelMd::advance_compute(sim::Comm& comm, Rank& rank,
                                    double seconds) {
-  // Measure the actual clock movement, not the requested cost: an injected
-  // stall (sim/fault.hpp) stretches the interval, and the stretch must land
-  // in busy_accum for the DLB to see — and shed — the slow rank.
   const double before = comm.clock();
   comm.advance(seconds);
   const double elapsed = comm.clock() - before;
@@ -348,11 +299,8 @@ void ParallelMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
   }
   const int host = membership_.physical_of(dst);
   if (host < 0) return;  // retired role: nobody is listening
-  if (config_.fault_tolerance.reliable) {
-    rank.channel.send(comm, host, tag, payload);
-  } else {
-    comm.send(host, tag, std::move(payload));
-  }
+  send_payload(comm, rank, config_.fault_tolerance.reliable, host, tag,
+               std::move(payload));
 }
 
 std::optional<sim::Buffer> ParallelMd::recv_from(sim::Comm& comm, Rank& rank,
@@ -368,24 +316,22 @@ std::optional<sim::Buffer> ParallelMd::recv_from(sim::Comm& comm, Rank& rank,
     return std::nullopt;
   }
   if (!detect_enabled()) {
-    if (ft.reliable) return rank.channel.recv(comm, host, tag);
-    return comm.recv(host, tag);
+    return recv_payload(comm, rank, ft.reliable, host, tag);
   }
   auto payload = ft.reliable
                      ? rank.channel.recv_deadline(comm, host, tag,
                                                   ft.recv_timeout)
                      : comm.recv_deadline(host, tag, ft.recv_timeout);
-  if (!payload) on_peer_dead(rank, membership_.role_of(comm.rank()), src);
+  if (!payload) on_peer_dead(rank, src);
   return payload;
 }
 
-void ParallelMd::on_peer_dead(Rank& rank, int me, int dead) {
+void ParallelMd::on_peer_dead(Rank& rank, int dead) {
   rank.peer_alive[static_cast<std::size_t>(dead)] = 0;
   if (healing_enabled()) {
     // The recovery driver repairs membership and ownership between phases;
     // local adoption would only disturb the doomed attempt, which is about
     // to be rolled back anyway.
-    (void)me;
     return;
   }
   // Re-adopt the dead rank's permanent cells: each column returns to its
@@ -407,19 +353,6 @@ void ParallelMd::on_peer_dead(Rank& rank, int me, int dead) {
                                                              : lowest_live;
     rank.map.set_owner(col, successor);
   }
-  (void)me;
-}
-
-void ParallelMd::span_begin(sim::Comm& comm, std::uint32_t name) const {
-  if (config_.trace) {
-    config_.trace->span_begin(comm.rank(), name, comm.clock());
-  }
-}
-
-void ParallelMd::span_end(sim::Comm& comm, std::uint32_t name) const {
-  if (config_.trace) {
-    config_.trace->span_end(comm.rank(), name, comm.clock());
-  }
 }
 
 void ParallelMd::send_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
@@ -436,7 +369,7 @@ void ParallelMd::send_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
   auto& columns_for = rank.halo_columns_for;
   columns_for.resize(neighbors.size());
   for (auto& cols : columns_for) cols.clear();
-  for (const int col : owned_columns(rank, me)) {
+  for (const int col : rank.map.columns_of(me)) {
     const auto [cx, cy] = layout_.column_coord(col);
     for (int dx = -1; dx <= 1; ++dx) {
       for (int dy = -1; dy <= 1; ++dy) {
@@ -488,13 +421,23 @@ void ParallelMd::absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
     auto payload = recv_from(comm, rank, nb, tag);
     if (!payload) continue;  // dead neighbour: its halo is gone this step
     PCMD_HB_ACCESS(comm, "halo", nb, /*is_write=*/false, "halo");
-    for (const auto& record : unpack_halo(std::move(*payload))) {
-      md::Particle p;
-      p.id = record.id;
-      p.position = record.position;
-      rank.with_halo.push_back(p);
+    append_halo(rank, unpack_halo(std::move(*payload)));
+  }
+}
+
+ForceSweep ParallelMd::compute_forces(sim::Comm& comm, Rank& rank, int me) {
+  auto& targets = rank.target_cells;
+  targets.clear();
+  for (const int col : rank.map.columns_of(me)) {
+    const auto [cx, cy] = layout_.column_coord(col);
+    for (int z = 0; z < grid_.nz(); ++z) {
+      targets.push_back(grid_.flat_index({cx, cy, z}));
     }
   }
+  std::sort(targets.begin(), targets.end());
+  ForceSweep sweep = sweep_forces(rank, grid_, lj_, engine_->model());
+  sweep.cost = advance_compute(comm, rank, sweep.cost);
+  return sweep;
 }
 
 void ParallelMd::phase_a_drift_and_digest(sim::Comm& comm, int me) {
@@ -502,11 +445,11 @@ void ParallelMd::phase_a_drift_and_digest(sim::Comm& comm, int me) {
   rank.busy_accum = 0.0;
   rank.transfers_made = 0;
 
-  span_begin(comm, spans_.drift);
+  span_begin(config_.trace, comm, spans_.drift);
   advance_compute(comm, rank,
                   engine_->model().particle_cost * rank.owned.size());
   integrator_.drift(rank.owned, box_);
-  span_end(comm, spans_.drift);
+  span_end(config_.trace, comm, spans_.drift);
 
   // Silent data corruption: scramble one particle's velocity, keyed on the
   // *physical* host and its clock so both engines corrupt exactly the same
@@ -524,7 +467,7 @@ void ParallelMd::phase_a_drift_and_digest(sim::Comm& comm, int me) {
   }
 
   std::vector<std::int32_t> columns;
-  for (const int col : owned_columns(rank, me)) {
+  for (const int col : rank.map.columns_of(me)) {
     columns.push_back(static_cast<std::int32_t>(col));
   }
   // My digest (busy time + column list) is shared state: neighbours read it
@@ -560,7 +503,7 @@ void ParallelMd::phase_b_decide_and_migrate(sim::Comm& comm, int me) {
 
   AnnounceRecord announce;
   if (dlb_active_this_step_) {
-    span_begin(comm, spans_.dlb);
+    span_begin(config_.trace, comm, spans_.dlb);
     // Per-column particle counts as the load proxy for the selection policy.
     std::vector<double> column_load(layout_.num_columns(), 0.0);
     for (const auto& p : rank.owned) {
@@ -599,14 +542,14 @@ void ParallelMd::phase_b_decide_and_migrate(sim::Comm& comm, int me) {
       send_to(comm, rank, decision.target, kTagTransfer,
               pack_particles(moving));
     }
-    span_end(comm, spans_.dlb);
+    span_end(config_.trace, comm, spans_.dlb);
   }
   for (const int nb : neighbors) {
     send_to(comm, rank, nb, kTagAnnounce, pack_announce(announce));
   }
 
   // Round-1 migration: particles that drifted out of my columns.
-  span_begin(comm, spans_.migrate);
+  span_begin(config_.trace, comm, spans_.migrate);
   std::vector<md::ParticleVector> outgoing(neighbors.size());
   auto keep = rank.owned.begin();
   for (auto& p : rank.owned) {
@@ -628,7 +571,7 @@ void ParallelMd::phase_b_decide_and_migrate(sim::Comm& comm, int me) {
     send_to(comm, rank, neighbors[k], kTagMigrate1,
             pack_particles(outgoing[k]));
   }
-  span_end(comm, spans_.migrate);
+  span_end(config_.trace, comm, spans_.migrate);
 }
 
 void ParallelMd::phase_c_absorb_and_forward(sim::Comm& comm, int me) {
@@ -636,7 +579,7 @@ void ParallelMd::phase_c_absorb_and_forward(sim::Comm& comm, int me) {
   const auto neighbors = layout_.pe_torus().neighbors8(me);
 
   // Announcements first, so forwarding below sees fresh ownership.
-  span_begin(comm, spans_.dlb);
+  span_begin(config_.trace, comm, spans_.dlb);
   std::vector<std::pair<int, int>> transfers_to_me;  // (neighbour k, column)
   for (std::size_t k = 0; k < neighbors.size(); ++k) {
     auto payload = recv_from(comm, rank, neighbors[k], kTagAnnounce);
@@ -657,10 +600,10 @@ void ParallelMd::phase_c_absorb_and_forward(sim::Comm& comm, int me) {
       rank.owned.push_back(p);
     }
   }
-  span_end(comm, spans_.dlb);
+  span_end(config_.trace, comm, spans_.dlb);
 
   // Round-1 migrants; forward any whose column changed hands this step.
-  span_begin(comm, spans_.migrate);
+  span_begin(config_.trace, comm, spans_.migrate);
   std::vector<md::ParticleVector> forward(neighbors.size());
   for (const int nb : neighbors) {
     auto payload = recv_from(comm, rank, nb, kTagMigrate1);
@@ -684,12 +627,12 @@ void ParallelMd::phase_c_absorb_and_forward(sim::Comm& comm, int me) {
     send_to(comm, rank, neighbors[k], kTagMigrate2,
             pack_particles(forward[k]));
   }
-  span_end(comm, spans_.migrate);
+  span_end(config_.trace, comm, spans_.migrate);
 }
 
 void ParallelMd::phase_d_halo_send(sim::Comm& comm, int me) {
   Rank& rank = *ranks_[me];
-  span_begin(comm, spans_.migrate);
+  span_begin(config_.trace, comm, spans_.migrate);
   for (const int nb : layout_.pe_torus().neighbors8(me)) {
     auto payload = recv_from(comm, rank, nb, kTagMigrate2);
     if (!payload) continue;
@@ -702,65 +645,41 @@ void ParallelMd::phase_d_halo_send(sim::Comm& comm, int me) {
       rank.owned.push_back(p);
     }
   }
-  span_end(comm, spans_.migrate);
-  span_begin(comm, spans_.halo);
+  span_end(config_.trace, comm, spans_.migrate);
+  span_begin(config_.trace, comm, spans_.halo);
   send_halo(comm, rank, me, kTagHalo);
-  span_end(comm, spans_.halo);
+  span_end(config_.trace, comm, spans_.halo);
 }
 
 void ParallelMd::phase_e_forces(sim::Comm& comm, int me) {
   Rank& rank = *ranks_[me];
-  span_begin(comm, spans_.halo);
+  span_begin(config_.trace, comm, spans_.halo);
   absorb_halo(comm, rank, me, kTagHalo);
-  span_end(comm, spans_.halo);
-  span_begin(comm, spans_.force);
-  rank.bins.rebuild(grid_, rank.with_halo);
-
-  auto& targets = rank.target_cells;
-  targets.clear();
-  const auto cols = owned_columns(rank, me);
-  targets.reserve(cols.size() * grid_.nz());
-  for (const int col : cols) {
-    const auto [cx, cy] = layout_.column_coord(col);
-    for (int z = 0; z < grid_.nz(); ++z) {
-      targets.push_back(grid_.flat_index({cx, cy, z}));
-    }
-  }
-  std::sort(targets.begin(), targets.end());
-
-  const auto result = md::accumulate_forces(
-      rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-  rank.force_seconds = advance_compute(
-      comm, rank,
-      engine_->model().pair_cost * result.pair_evaluations +
-          engine_->model().cell_cost * targets.size());
-
-  rank.owned.assign(rank.with_halo.begin(),
-                    rank.with_halo.begin() + rank.owned.size());
+  span_end(config_.trace, comm, spans_.halo);
+  span_begin(config_.trace, comm, spans_.force);
+  const ForceSweep sweep = compute_forces(comm, rank, me);
+  rank.force_seconds = sweep.cost;
   integrator_.kick(rank.owned);
-  span_end(comm, spans_.force);
+  span_end(config_.trace, comm, spans_.force);
 
-  rank.local_pe = result.potential_energy;
-  rank.local_virial = result.virial;
-  rank.local_pairs = result.pair_evaluations;
   int empty = 0;
-  for (const int cell : targets) {
+  for (const int cell : rank.target_cells) {
     if (rank.bins.cell(cell).empty()) ++empty;
   }
   const double ke = md::kinetic_energy(rank.owned);
-  const double owned_cells = static_cast<double>(targets.size());
+  const double owned_cells = static_cast<double>(rank.target_cells.size());
 
   // Collectives fill the logical slot `me`, so the combine order — and the
   // reduced values, bit for bit — are independent of which physical rank
   // hosts each role (see Comm::collective_begin).
-  const double sums[8] = {rank.local_pe,
+  const double sums[8] = {sweep.result.potential_energy,
                           ke,
-                          static_cast<double>(rank.local_pairs),
+                          static_cast<double>(sweep.result.pair_evaluations),
                           static_cast<double>(rank.owned.size()),
                           static_cast<double>(empty),
                           static_cast<double>(rank.transfers_made),
                           rank.force_seconds,
-                          rank.local_virial};
+                          sweep.result.virial};
   comm.collective_begin(sim::ReduceOp::kSum, sums, me);
   if (healing_enabled()) {
     // Fourth slot: the velocity alarm. A role whose particles exceed the
@@ -792,18 +711,8 @@ void ParallelMd::phase_e_forces(sim::Comm& comm, int me) {
 }
 
 void ParallelMd::phase_f_finish(sim::Comm& comm, int me) {
-  Rank& rank = *ranks_[me];
-  rank.sums = comm.collective_end();
-  rank.maxes = comm.collective_end();
-  rank.mins = comm.collective_end();
-
-  const std::int64_t step_number = step_count_ + 1;
-  if (thermostat_ && thermostat_->due(step_number)) {
-    const double ke_total = rank.sums[1];
-    const auto n_total = static_cast<std::int64_t>(rank.sums[3]);
-    const double factor = thermostat_->scale_factor(ke_total, n_total);
-    md::RescaleThermostat::apply(rank.owned, factor);
-  }
+  finish_step(comm, *ranks_[me], thermostat_, step_count_ + 1,
+              /*n_slot=*/3);
 }
 
 ParallelStepStats ParallelMd::attempt_step() {
@@ -812,19 +721,15 @@ ParallelStepStats ParallelMd::attempt_step() {
   dlb_active_this_step_ =
       config_.dlb_enabled && (step_number % config_.dlb.interval == 0);
 
-  const auto role_phase = [this](void (ParallelMd::*body)(sim::Comm&, int)) {
-    engine_->run_phase([this, body](sim::Comm& comm) {
-      const int me = membership_.role_of(comm.rank());
-      if (me < 0) return;  // spare or roleless host: idle at the barrier
-      (this->*body)(comm, me);
-    });
-  };
-  role_phase(&ParallelMd::phase_a_drift_and_digest);
-  role_phase(&ParallelMd::phase_b_decide_and_migrate);
-  role_phase(&ParallelMd::phase_c_absorb_and_forward);
-  role_phase(&ParallelMd::phase_d_halo_send);
-  role_phase(&ParallelMd::phase_e_forces);
-  role_phase(&ParallelMd::phase_f_finish);
+  for (const auto body : {&ParallelMd::phase_a_drift_and_digest,
+                          &ParallelMd::phase_b_decide_and_migrate,
+                          &ParallelMd::phase_c_absorb_and_forward,
+                          &ParallelMd::phase_d_halo_send,
+                          &ParallelMd::phase_e_forces,
+                          &ParallelMd::phase_f_finish}) {
+    run_role_phase(
+        [this, body](sim::Comm& comm, int me) { (this->*body)(comm, me); });
+  }
 
   ++step_count_;
   if (config_.verify_invariants) {
@@ -980,13 +885,7 @@ ParallelStepStats ParallelMd::step() {
       prev_recovery_ = recovery_;
       if (config_.trace) {
         const double now = engine_->makespan();
-        int host = 0;
-        for (int p = 0; p < engine_->size(); ++p) {
-          if (engine_->alive(p)) {
-            host = p;
-            break;
-          }
-        }
+        const int host = first_live_host();
         config_.trace->counter(host, spans_.ctr_checkpoint_bytes, now,
                                static_cast<double>(recovery_.checkpoint_bytes));
         config_.trace->counter(host, spans_.ctr_rollbacks, now,
@@ -1050,11 +949,9 @@ void ParallelMd::buddy_round() {
   const std::int64_t gen = step_count_;
   // Phase 1: every live role seals its state and ships it to its buddy (the
   // +1-column torus neighbour), keeping its own copy in the 2-deep window.
-  engine_->run_phase([this, gen](sim::Comm& comm) {
-    const int me = membership_.role_of(comm.rank());
-    if (me < 0) return;
+  run_role_phase([this, gen](sim::Comm& comm, int me) {
     Rank& rank = *ranks_[static_cast<std::size_t>(me)];
-    span_begin(comm, spans_.buddy);
+    span_begin(config_.trace, comm, spans_.buddy);
     RankEnvelope envelope;
     envelope.role = me;
     envelope.generation = gen;
@@ -1070,19 +967,17 @@ void ParallelMd::buddy_round() {
     rank.self_snap[1] = std::move(rank.self_snap[0]);
     rank.self_snap[0] = Snapshot{gen, sealed};
     send_to(comm, rank, buddy_of(me), kTagBuddy, std::move(sealed));
-    span_end(comm, spans_.buddy);
+    span_end(config_.trace, comm, spans_.buddy);
   });
   // Phase 2: absorb the ward's envelope (the -1-column neighbour's state).
-  engine_->run_phase([this, gen](sim::Comm& comm) {
-    const int me = membership_.role_of(comm.rank());
-    if (me < 0) return;
+  run_role_phase([this, gen](sim::Comm& comm, int me) {
     Rank& rank = *ranks_[static_cast<std::size_t>(me)];
-    span_begin(comm, spans_.buddy);
+    span_begin(config_.trace, comm, spans_.buddy);
     if (auto payload = recv_from(comm, rank, ward_of(me), kTagBuddy)) {
       rank.ward_snap[1] = std::move(rank.ward_snap[0]);
       rank.ward_snap[0] = Snapshot{gen, std::move(*payload)};
     }
-    span_end(comm, spans_.buddy);
+    span_end(config_.trace, comm, spans_.buddy);
   });
   // Driver-side accounting (counters are never touched by phase bodies).
   for (int l = 0; l < layout_.pe_count(); ++l) {
@@ -1220,32 +1115,28 @@ void ParallelMd::perform_rollback(std::int64_t gen,
   // R1: each buddy replays its ward envelope to the promoted successor. The
   // channel streams are keyed by the *physical* peer, so the promoted host's
   // streams start fresh at sequence 0 on both ends.
-  engine_->run_phase([this, gen, &promoted](sim::Comm& comm) {
-    const int me = membership_.role_of(comm.rank());
-    if (me < 0) return;
+  run_role_phase([this, gen, &promoted](sim::Comm& comm, int me) {
     Rank& rank = *ranks_[static_cast<std::size_t>(me)];
     const int ward = ward_of(me);
     if (std::find(promoted.begin(), promoted.end(), ward) == promoted.end()) {
       return;
     }
-    span_begin(comm, spans_.failover);
+    span_begin(config_.trace, comm, spans_.failover);
     for (const auto& snap : rank.ward_snap) {
       if (snap.generation == gen) {
         send_to(comm, rank, ward, kTagRestore, snap.sealed);
         break;
       }
     }
-    span_end(comm, spans_.failover);
+    span_end(config_.trace, comm, spans_.failover);
   });
 
   // R2: every live role restores the generation — promoted roles from the
   // envelope just received, survivors from their own sealed copy. Envelope
   // validation happens before any state is touched (unpack_rank_envelope).
-  engine_->run_phase([this, gen, &promoted](sim::Comm& comm) {
-    const int me = membership_.role_of(comm.rank());
-    if (me < 0) return;
+  run_role_phase([this, gen, &promoted](sim::Comm& comm, int me) {
     Rank& rank = *ranks_[static_cast<std::size_t>(me)];
-    span_begin(comm, spans_.rollback);
+    span_begin(config_.trace, comm, spans_.rollback);
     sim::Buffer sealed;
     if (std::find(promoted.begin(), promoted.end(), me) != promoted.end()) {
       auto payload = recv_from(comm, rank, buddy_of(me), kTagRestore);
@@ -1286,7 +1177,7 @@ void ParallelMd::perform_rollback(std::int64_t gen,
     rank.busy_accum = 0.0;
     rank.transfers_made = 0;
     rank.with_halo.clear();
-    span_end(comm, spans_.rollback);
+    span_end(config_.trace, comm, spans_.rollback);
   });
 
   for (const int l : promoted) {
@@ -1353,28 +1244,23 @@ void ParallelMd::perform_rollback(std::int64_t gen,
   // positions; the envelope busy times (not the init charge) then drive the
   // next DLB decision, exactly like the checkpoint constructor's resume.
   step_count_ = gen;
-  run_init_phases();
-  for (int l = 0; l < layout_.pe_count(); ++l) {
-    if (role_live(l)) {
-      Rank& rank = *ranks_[static_cast<std::size_t>(l)];
-      rank.last_busy = rank.restored_last_busy;
-    }
-  }
+  run_init_phases(/*resume=*/true);
   driver_span(spans_.rollback, begin, engine_->makespan());
 }
 
 void ParallelMd::driver_span(std::uint32_t name, double begin,
                              double end) const {
   if (!config_.trace) return;
-  int host = 0;
-  for (int p = 0; p < engine_->size(); ++p) {
-    if (engine_->alive(p)) {
-      host = p;
-      break;
-    }
-  }
+  const int host = first_live_host();
   config_.trace->span_begin(host, name, begin);
   config_.trace->span_end(host, name, end);
+}
+
+int ParallelMd::first_live_host() const {
+  for (int p = 0; p < engine_->size(); ++p) {
+    if (engine_->alive(p)) return p;
+  }
+  return 0;
 }
 
 md::ParticleVector ParallelMd::gather_particles() const {

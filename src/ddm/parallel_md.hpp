@@ -33,6 +33,7 @@
 #include "ddm/balancer.hpp"
 #include "ddm/engine_config.hpp"
 #include "ddm/fault_tolerance.hpp"
+#include "ddm/rank_core.hpp"
 #include "ddm/recovery.hpp"
 #include "ddm/wire.hpp"
 #include "md/cell_grid.hpp"
@@ -47,6 +48,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -89,6 +91,10 @@ struct ParallelMdConfig {
   // and dead ranks are expected traffic anomalies there, not bugs.
   FaultToleranceConfig fault_tolerance;
 };
+
+// Engine ranks a ParallelMd over `config` needs: one per role
+// (pe_side^2), plus fault_tolerance.healing.spares when healing is enabled.
+int engine_rank_count(const ParallelMdConfig& config);
 
 // Per-step statistics (globally reduced; identical on every rank).
 struct ParallelStepStats {
@@ -142,15 +148,9 @@ class ParallelMd {
   // restored so the continued trajectory is bitwise identical to the
   // uninterrupted run; the config must describe the same (pe_side, m)
   // decomposition (std::runtime_error on a mismatched or corrupted
-  // checkpoint). Either way the engine must provide pe_side^2 ranks, plus
-  // fault_tolerance.healing.spares extra ranks when healing is enabled.
+  // checkpoint). Either way the engine must provide engine_rank_count(config)
+  // ranks.
   ParallelMd(const EngineConfig& setup, const ParallelMdConfig& config);
-  // Positional shims forwarding to the EngineConfig constructor, kept so
-  // existing call sites compile unchanged.
-  ParallelMd(sim::Engine& engine, const Box& box,
-             const md::ParticleVector& initial, const ParallelMdConfig& config);
-  ParallelMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-             const ParallelMdConfig& config);
   // Detaches the protocol checker from the engine when one was installed.
   ~ParallelMd();
 
@@ -197,38 +197,19 @@ class ParallelMd {
     sim::Buffer sealed;
   };
 
-  struct Rank {
-    md::ParticleVector owned;
+  struct Rank : RankCore {
     core::ColumnMap map;
     std::vector<double> neighbor_times;  // digest times, neighbors8 order
-    double last_busy = 0.0;   // previous step's compute seconds
-    double busy_accum = 0.0;  // this step's compute seconds so far
-    double force_seconds = 0.0;
     int transfers_made = 0;
     // Fault tolerance (used when config.fault_tolerance enables them):
-    sim::ReliableChannel channel;
     std::vector<char> peer_alive;  // this rank's view; all 1 initially
-    // Scratch reused across phases of one step:
-    md::ParticleVector with_halo;
-    md::CellBins bins;
-    md::ForceWorkspace workspace;
-    std::vector<int> target_cells;                          // phase E
-    std::vector<std::vector<int>> halo_columns_for;         // send_halo
-    std::vector<std::vector<std::int32_t>> halo_by_column;  // send_halo
-    std::vector<HaloRecord> halo_records;                   // send_halo
-    double local_pe = 0.0;
-    double local_virial = 0.0;
-    std::uint64_t local_pairs = 0;
-    // Reduced results stored in phase F:
-    std::vector<double> sums, maxes, mins;
+    // send_halo scratch, reused across steps:
+    std::vector<std::vector<int>> halo_columns_for;
+    std::vector<std::vector<std::int32_t>> halo_by_column;
     // Self-healing: the two newest generations of this role's own envelope
     // and of its ward's (the role whose buddy this role is), newest first.
     std::array<Snapshot, 2> self_snap;
     std::array<Snapshot, 2> ward_snap;
-    // Envelope busy time staged during a rollback; re-applied after the
-    // init phases recompute forces (same resume rule as the checkpoint
-    // constructor).
-    double restored_last_busy = 0.0;
 
     explicit Rank(const core::PillarLayout& layout) : map(layout) {}
   };
@@ -243,10 +224,16 @@ class ParallelMd {
 
   // Helpers.
   int column_of_position(const Vec3& position) const;
-  std::vector<int> owned_columns(const Rank& rank, int rank_id) const;
   void send_halo(sim::Comm& comm, Rank& rank, int me, int tag);
   void absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag);
+  // Phase E's and the init step's force sweep over the role's cells; `cost`
+  // is what advance_compute charged.
+  ForceSweep compute_forces(sim::Comm& comm, Rank& rank, int me);
+  // Charges the measured clock movement (an injected stall counts) to
+  // busy_accum and returns it.
   double advance_compute(sim::Comm& comm, Rank& rank, double seconds);
+  // One BSP phase over the roles; spares idle at the barrier.
+  void run_role_phase(const std::function<void(sim::Comm&, int)>& body);
 
   bool healing_enabled() const {
     return config_.fault_tolerance.healing.enabled;
@@ -286,8 +273,9 @@ class ParallelMd {
   // envelopes, rerun the init phases, reset step_count_.
   void perform_rollback(std::int64_t gen, const std::vector<int>& promoted,
                         const std::vector<int>& retired);
-  // The initial halo + force phases (construction and post-rollback).
-  void run_init_phases();
+  // The initial halo + force phases (construction and post-rollback);
+  // `resume` keeps each rank's restored_last_busy instead of the init charge.
+  void run_init_phases(bool resume);
 
   // Fault-tolerant transport: all wire traffic funnels through these, and
   // they are the ONLY place roles translate to physical ranks. With
@@ -299,15 +287,14 @@ class ParallelMd {
                sim::Buffer payload);
   std::optional<sim::Buffer> recv_from(sim::Comm& comm, Rank& rank, int src,
                                        int tag);
-  void on_peer_dead(Rank& rank, int me, int dead);
+  void on_peer_dead(Rank& rank, int dead);
   // Construction paths behind the EngineConfig constructor: bin fresh
   // particles into the box, or restore everything from a checkpoint buffer.
   void init_fresh(const Box& box, const md::ParticleVector& initial);
   void init_resume(const sim::Buffer& checkpoint);
   // Shared post-construction work: checker/trace attachment and the initial
   // halo + force phases. `resume` preserves checkpointed busy times.
-  void finish_construction(bool resume,
-                           const std::vector<double>& resume_last_busy);
+  void finish_construction(bool resume);
 
   // Span instrumentation (no-ops when config_.trace is null). Ids are
   // interned once in the constructor so the per-event path takes no lock.
@@ -332,11 +319,10 @@ class ParallelMd {
     std::uint32_t ctr_imbalance = 0;
     std::uint32_t ctr_cells_moved = 0;
   };
-  void span_begin(sim::Comm& comm, std::uint32_t name) const;
-  void span_end(sim::Comm& comm, std::uint32_t name) const;
   // Driver-side span on the first live physical rank (recovery events
   // happen between phases, with no Comm in hand).
   void driver_span(std::uint32_t name, double begin, double end) const;
+  int first_live_host() const;  // lowest physical rank still running
 
   sim::Engine* engine_;
   Box box_;

@@ -73,16 +73,6 @@ SlabMd::SlabMd(const EngineConfig& setup, const SlabMdConfig& config)
   }
 }
 
-SlabMd::SlabMd(sim::Engine& engine, const Box& box,
-               const md::ParticleVector& initial, const SlabMdConfig& config)
-    : SlabMd(EngineConfig{.engine = &engine, .box = box, .initial = &initial},
-             config) {}
-
-SlabMd::SlabMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-               const SlabMdConfig& config)
-    : SlabMd(EngineConfig{.engine = &engine, .checkpoint = &checkpoint},
-             config) {}
-
 void SlabMd::init_fresh(const Box& box, const md::ParticleVector& initial) {
   box_ = box;
   grid_ = config_.cells_per_axis > 0
@@ -121,11 +111,11 @@ void SlabMd::init_fresh(const Box& box, const md::ParticleVector& initial) {
     }
   }
 
-  finish_construction(false, {});
+  finish_construction(false);
 }
 
 void SlabMd::init_resume(const sim::Buffer& checkpoint) {
-  const auto last_busy = md::decode_checkpoint(
+  ranks_ = md::decode_checkpoint(
       md::CheckpointKind::kSlab, "SlabMd checkpoint", checkpoint,
       [&](sim::Unpacker& unpacker) {
         const auto pe_count = unpacker.get<std::int32_t>();
@@ -152,9 +142,7 @@ void SlabMd::init_resume(const sim::Buffer& checkpoint) {
           throw md::CheckpointError(
               "SlabMd: checkpointed box too small for this cut-off");
         }
-        std::vector<double> busy(static_cast<std::size_t>(config_.pe_count),
-                                 0.0);
-        ranks_.reserve(config_.pe_count);
+        std::vector<std::unique_ptr<Rank>> ranks;
         for (int r = 0; r < config_.pe_count; ++r) {
           auto rank = std::make_unique<Rank>();
           rank->owned = unpacker.get_vector<md::Particle>();
@@ -164,17 +152,16 @@ void SlabMd::init_resume(const sim::Buffer& checkpoint) {
               rank->hi > grid_.nx()) {
             throw md::CheckpointError("SlabMd: checkpoint slab range invalid");
           }
-          busy[static_cast<std::size_t>(r)] = unpacker.get<double>();
+          rank->restored_last_busy = unpacker.get<double>();
           rank->force_seconds = unpacker.get<double>();
-          ranks_.push_back(std::move(rank));
+          ranks.push_back(std::move(rank));
         }
-        return busy;
+        return ranks;
       });
-  finish_construction(true, last_busy);
+  finish_construction(true);
 }
 
-void SlabMd::finish_construction(bool resume,
-                                 const std::vector<double>& resume_last_busy) {
+void SlabMd::finish_construction(bool resume) {
   if (config_.trace) {
     config_.trace->on_attach(config_.pe_count);
     spans_.drift = config_.trace->intern("drift");
@@ -187,57 +174,18 @@ void SlabMd::finish_construction(bool resume,
     rank->channel = sim::ReliableChannel(config_.fault_tolerance.policy);
   }
 
-  // Initial force computation so the first step's drift has f(t). On resume
-  // the forces recompute bitwise from the restored positions; the restored
-  // busy times then overwrite what this phase charged, because they — not
-  // the init cost — drive the next boundary-shift decision.
+  // Initial forces for the first step's drift: phases C/D's halo and force
+  // code under the init tag. A resume keeps the restored busy times (not the
+  // init charge) to drive the next boundary-shift decision.
   engine_->run_phase([this](sim::Comm& comm) {
-    Rank& rank = *ranks_[comm.rank()];
-    auto pack_layer = [&](int layer) {
-      auto& records = rank.halo_records;
-      records.clear();
-      for (const auto& p : rank.owned) {
-        if (layer_of_position(p.position) == layer) {
-          records.push_back({p.id, p.position});
-        }
-      }
-      return pack_halo(records);
-    };
-    PCMD_HB_ACCESS(comm, "slab-halo", comm.rank(), /*is_write=*/true, "halo");
-    send_to(comm, rank, left(comm.rank()), kSlabInitHalo, pack_layer(rank.lo));
-    send_to(comm, rank, right(comm.rank()), kSlabInitHalo,
-            pack_layer(rank.hi - 1));
+    send_halo(comm, *ranks_[comm.rank()], comm.rank(), kSlabInitHalo);
   });
-  engine_->run_phase([this](sim::Comm& comm) {
+  engine_->run_phase([this, resume](sim::Comm& comm) {
     Rank& rank = *ranks_[comm.rank()];
-    rank.with_halo = rank.owned;
-    for (const int nb : {left(comm.rank()), right(comm.rank())}) {
-      const auto halo = unpack_halo(recv_from(comm, rank, nb, kSlabInitHalo));
-      PCMD_HB_ACCESS(comm, "slab-halo", nb, /*is_write=*/false, "halo");
-      for (const auto& record : halo) {
-        md::Particle p;
-        p.id = record.id;
-        p.position = record.position;
-        rank.with_halo.push_back(p);
-      }
-    }
-    rank.bins.rebuild(grid_, rank.with_halo);
-    auto& targets = rank.target_cells;
-    cells_of_layers(rank.lo, rank.hi, targets);
-    const auto result = md::accumulate_forces(
-        rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-    const double cost = engine_->model().pair_cost * result.pair_evaluations +
-                        engine_->model().cell_cost * targets.size();
-    comm.advance(cost);
-    rank.last_busy = cost;
-    rank.owned.assign(rank.with_halo.begin(),
-                      rank.with_halo.begin() + rank.owned.size());
+    absorb_halo(comm, rank, comm.rank(), kSlabInitHalo);
+    const double charged = compute_forces(comm, rank).cost;
+    rank.last_busy = resume ? rank.restored_last_busy : charged;
   });
-  if (resume) {
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      ranks_[r]->last_busy = resume_last_busy[r];
-    }
-  }
 }
 
 sim::Buffer SlabMd::checkpoint() const {
@@ -258,30 +206,52 @@ sim::Buffer SlabMd::checkpoint() const {
 
 void SlabMd::send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
                      sim::Buffer payload) {
-  if (config_.fault_tolerance.reliable) {
-    rank.channel.send(comm, dst, tag, payload);
-  } else {
-    comm.send(dst, tag, std::move(payload));
-  }
+  send_payload(comm, rank, config_.fault_tolerance.reliable, dst, tag,
+               std::move(payload));
 }
 
 sim::Buffer SlabMd::recv_from(sim::Comm& comm, Rank& rank, int src, int tag) {
-  if (config_.fault_tolerance.reliable) {
-    return rank.channel.recv(comm, src, tag);
-  }
-  return comm.recv(src, tag);
+  return recv_payload(comm, rank, config_.fault_tolerance.reliable, src, tag);
 }
 
-void SlabMd::span_begin(sim::Comm& comm, std::uint32_t name) const {
-  if (config_.trace) {
-    config_.trace->span_begin(comm.rank(), name, comm.clock());
+void SlabMd::send_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
+  auto pack_layer = [&](int layer) {
+    auto& records = rank.halo_records;
+    records.clear();
+    for (const auto& p : rank.owned) {
+      if (layer_of_position(p.position) == layer) {
+        records.push_back({p.id, p.position});
+      }
+    }
+    return pack_halo(records);
+  };
+  PCMD_HB_ACCESS(comm, "slab-halo", me, /*is_write=*/true, "halo");
+  send_to(comm, rank, left(me), tag, pack_layer(rank.lo));
+  send_to(comm, rank, right(me), tag, pack_layer(rank.hi - 1));
+}
+
+void SlabMd::absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag) {
+  rank.with_halo = rank.owned;
+  for (const int nb : {left(me), right(me)}) {
+    const auto halo = unpack_halo(recv_from(comm, rank, nb, tag));
+    // After the recv: the message is the edge that orders this read behind
+    // the neighbour's halo write.
+    PCMD_HB_ACCESS(comm, "slab-halo", nb, /*is_write=*/false, "halo");
+    append_halo(rank, halo);
   }
 }
 
-void SlabMd::span_end(sim::Comm& comm, std::uint32_t name) const {
-  if (config_.trace) {
-    config_.trace->span_end(comm.rank(), name, comm.clock());
-  }
+ForceSweep SlabMd::compute_forces(sim::Comm& comm, Rank& rank) {
+  cells_of_layers(rank.lo, rank.hi, rank.target_cells);
+  ForceSweep sweep = sweep_forces(rank, grid_, lj_, engine_->model());
+  sweep.cost = advance_compute(comm, rank, sweep.cost);
+  return sweep;
+}
+
+double SlabMd::advance_compute(sim::Comm& comm, Rank& rank, double seconds) {
+  comm.advance(seconds);
+  rank.busy_accum += seconds;
+  return seconds;
 }
 
 int SlabMd::left(int rank) const {
@@ -307,32 +277,35 @@ void SlabMd::cells_of_layers(int lo, int hi, std::vector<int>& cells) const {
   std::sort(cells.begin(), cells.end());
 }
 
-double SlabMd::layer_load(const Rank& rank, int layer) const {
-  double load = 0.0;
-  for (const auto& p : rank.owned) {
-    if (layer_of_position(p.position) == layer) load += 1.0;
-  }
-  return load;
+SlabInfo SlabMd::slab_info(const Rank& rank) const {
+  const auto layer_load = [&](int layer) {
+    double load = 0.0;
+    for (const auto& p : rank.owned) {
+      if (layer_of_position(p.position) == layer) load += 1.0;
+    }
+    return load;
+  };
+  SlabInfo info;
+  info.busy = rank.last_busy;
+  info.lo = rank.lo;
+  info.hi = rank.hi;
+  info.low_layer_load = layer_load(rank.lo);
+  info.high_layer_load = layer_load(rank.hi - 1);
+  info.total_load = static_cast<double>(rank.owned.size());
+  return info;
 }
 
 void SlabMd::phase_a_drift_and_times(sim::Comm& comm) {
   Rank& rank = *ranks_[comm.rank()];
   rank.busy_accum = 0.0;
   rank.shifts_made = 0;
-  span_begin(comm, spans_.drift);
-  const double cost = engine_->model().particle_cost * rank.owned.size();
-  comm.advance(cost);
-  rank.busy_accum += cost;
+  span_begin(config_.trace, comm, spans_.drift);
+  advance_compute(comm, rank,
+                  engine_->model().particle_cost * rank.owned.size());
   integrator_.drift(rank.owned, box_);
-  span_end(comm, spans_.drift);
+  span_end(config_.trace, comm, spans_.drift);
 
-  SlabInfo info;
-  info.busy = rank.last_busy;
-  info.lo = rank.lo;
-  info.hi = rank.hi;
-  info.low_layer_load = layer_load(rank, rank.lo);
-  info.high_layer_load = layer_load(rank, rank.hi - 1);
-  info.total_load = static_cast<double>(rank.owned.size());
+  const SlabInfo info = slab_info(rank);
   // My slab descriptor is shared state read by both ring neighbours in
   // phase B; the kSlabInfo messages order those reads after this write.
   PCMD_HB_ACCESS(comm, "slab-info", comm.rank(), /*is_write=*/true, "drift");
@@ -350,13 +323,8 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
       unpack_slab_info(recv_from(comm, rank, right(me), kSlabInfo));
   PCMD_HB_ACCESS(comm, "slab-info", right(me), /*is_write=*/false, "shift");
 
-  SlabInfo my_info;
-  my_info.busy = rank.last_busy;
-  my_info.lo = rank.lo;
-  my_info.hi = rank.hi;
-  my_info.low_layer_load = layer_load(rank, rank.lo);
-  my_info.high_layer_load = layer_load(rank, rank.hi - 1);
-  my_info.total_load = static_cast<double>(rank.owned.size());
+  // The same descriptor phase A sent: nothing it reads changed since.
+  const SlabInfo my_info = slab_info(rank);
 
   // Boundary ids: boundary r sits between rank r-1 and rank r; boundary 0
   // (the periodic wrap) is fixed. A boundary may shift when its parity
@@ -378,7 +346,7 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
   };
 
   if (config_.shift_enabled) {
-    span_begin(comm, spans_.shift);
+    span_begin(config_.trace, comm, spans_.shift);
     // The boundary positions themselves are NOT stamped for the
     // happens-before detector: both sides recompute boundary_shift from the
     // same two SlabInfo records (replicated deterministic computation), so
@@ -413,10 +381,10 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
         rank.hi += 1;  // right neighbour sheds its bottom layer to me
       }
     }
-    span_end(comm, spans_.shift);
+    span_end(config_.trace, comm, spans_.shift);
   }
 
-  span_begin(comm, spans_.migrate);
+  span_begin(config_.trace, comm, spans_.migrate);
   // Migration: particles that drifted out of [lo, hi). A particle can end
   // up at most 2 layers outside: one layer of physical drift plus one layer
   // of boundary shift in the same step — and in the shift case the shed
@@ -448,13 +416,13 @@ void SlabMd::phase_b_shift_and_migrate(sim::Comm& comm) {
   send_to(comm, rank, right(me), kSlabTransfer, pack_particles(to_right));
   send_to(comm, rank, left(me), kSlabMigrate, pack_particles(migrate_left));
   send_to(comm, rank, right(me), kSlabMigrate, pack_particles(migrate_right));
-  span_end(comm, spans_.migrate);
+  span_end(config_.trace, comm, spans_.migrate);
 }
 
 void SlabMd::phase_c_absorb_and_halo(sim::Comm& comm) {
   const int me = comm.rank();
   Rank& rank = *ranks_[me];
-  span_begin(comm, spans_.migrate);
+  span_begin(config_.trace, comm, spans_.migrate);
   for (const int nb : {left(me), right(me)}) {
     bool absorbed_layer = false;
     for (const auto& p :
@@ -477,62 +445,27 @@ void SlabMd::phase_c_absorb_and_halo(sim::Comm& comm) {
       rank.owned.push_back(p);
     }
   }
-  span_end(comm, spans_.migrate);
+  span_end(config_.trace, comm, spans_.migrate);
 
-  span_begin(comm, spans_.halo);
-  auto pack_layer = [&](int layer) {
-    auto& records = rank.halo_records;
-    records.clear();
-    for (const auto& p : rank.owned) {
-      if (layer_of_position(p.position) == layer) {
-        records.push_back({p.id, p.position});
-      }
-    }
-    return pack_halo(records);
-  };
-  PCMD_HB_ACCESS(comm, "slab-halo", me, /*is_write=*/true, "halo");
-  send_to(comm, rank, left(me), kSlabHalo, pack_layer(rank.lo));
-  send_to(comm, rank, right(me), kSlabHalo, pack_layer(rank.hi - 1));
-  span_end(comm, spans_.halo);
+  span_begin(config_.trace, comm, spans_.halo);
+  send_halo(comm, rank, me, kSlabHalo);
+  span_end(config_.trace, comm, spans_.halo);
 }
 
 void SlabMd::phase_d_forces(sim::Comm& comm) {
   const int me = comm.rank();
   Rank& rank = *ranks_[me];
-  span_begin(comm, spans_.halo);
-  rank.with_halo = rank.owned;
-  for (const int nb : {left(me), right(me)}) {
-    const auto halo = unpack_halo(recv_from(comm, rank, nb, kSlabHalo));
-    // After the recv: the message is the edge that orders this read behind
-    // the neighbour's phase-C write.
-    PCMD_HB_ACCESS(comm, "slab-halo", nb, /*is_write=*/false, "halo");
-    for (const auto& record : halo) {
-      md::Particle p;
-      p.id = record.id;
-      p.position = record.position;
-      rank.with_halo.push_back(p);
-    }
-  }
-  span_end(comm, spans_.halo);
-  span_begin(comm, spans_.force);
-  rank.bins.rebuild(grid_, rank.with_halo);
-  auto& targets = rank.target_cells;
-  cells_of_layers(rank.lo, rank.hi, targets);
-  const auto result = md::accumulate_forces(
-      rank.with_halo, grid_, rank.bins, targets, lj_, rank.workspace);
-  const double cost = engine_->model().pair_cost * result.pair_evaluations +
-                      engine_->model().cell_cost * targets.size();
-  comm.advance(cost);
-  rank.busy_accum += cost;
-  rank.force_seconds = cost;
-
-  rank.owned.assign(rank.with_halo.begin(),
-                    rank.with_halo.begin() + rank.owned.size());
+  span_begin(config_.trace, comm, spans_.halo);
+  absorb_halo(comm, rank, me, kSlabHalo);
+  span_end(config_.trace, comm, spans_.halo);
+  span_begin(config_.trace, comm, spans_.force);
+  const ForceSweep sweep = compute_forces(comm, rank);
+  rank.force_seconds = sweep.cost;
   integrator_.kick(rank.owned);
-  span_end(comm, spans_.force);
+  span_end(config_.trace, comm, spans_.force);
 
   const double ke = md::kinetic_energy(rank.owned);
-  const double sums[5] = {result.potential_energy, ke,
+  const double sums[5] = {sweep.result.potential_energy, ke,
                           static_cast<double>(rank.owned.size()),
                           static_cast<double>(rank.shifts_made),
                           rank.force_seconds};
@@ -545,16 +478,8 @@ void SlabMd::phase_d_forces(sim::Comm& comm) {
 }
 
 void SlabMd::phase_e_finish(sim::Comm& comm) {
-  Rank& rank = *ranks_[comm.rank()];
-  rank.sums = comm.collective_end();
-  rank.maxes = comm.collective_end();
-  rank.mins = comm.collective_end();
-  const std::int64_t step_number = step_count_ + 1;
-  if (thermostat_ && thermostat_->due(step_number)) {
-    const double factor = thermostat_->scale_factor(
-        rank.sums[1], static_cast<std::int64_t>(rank.sums[2]));
-    md::RescaleThermostat::apply(rank.owned, factor);
-  }
+  finish_step(comm, *ranks_[comm.rank()], thermostat_, step_count_ + 1,
+              /*n_slot=*/2);
 }
 
 SlabStepStats SlabMd::step() {

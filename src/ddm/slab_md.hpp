@@ -19,6 +19,7 @@
 
 #include "ddm/engine_config.hpp"
 #include "ddm/fault_tolerance.hpp"
+#include "ddm/rank_core.hpp"
 #include "ddm/wire.hpp"
 #include "md/cell_grid.hpp"
 #include "md/integrator.hpp"
@@ -26,7 +27,6 @@
 #include "md/particle.hpp"
 #include "md/thermostat.hpp"
 #include "sim/comm.hpp"
-#include "sim/reliable.hpp"
 
 #include <cstdint>
 #include <memory>
@@ -81,12 +81,6 @@ class SlabMd {
   // run; the config must describe the same (pe_count, cells) decomposition
   // (std::runtime_error on a mismatched or corrupted checkpoint).
   SlabMd(const EngineConfig& setup, const SlabMdConfig& config);
-  // Positional shims forwarding to the EngineConfig constructor, kept so
-  // existing call sites compile unchanged.
-  SlabMd(sim::Engine& engine, const Box& box,
-         const md::ParticleVector& initial, const SlabMdConfig& config);
-  SlabMd(sim::Engine& engine, const sim::Buffer& checkpoint,
-         const SlabMdConfig& config);
 
   SlabStepStats step();
   SlabStepStats run(std::int64_t steps);
@@ -108,23 +102,12 @@ class SlabMd {
   std::size_t owned_count(int rank) const;
 
  private:
-  struct Rank {
-    md::ParticleVector owned;
+  struct Rank : RankCore {
     // The rank's view of the boundary positions it participates in:
     // lo = first owned layer, hi = one past the last.
     int lo = 0;
     int hi = 0;
-    double last_busy = 0.0;
-    double busy_accum = 0.0;
-    double force_seconds = 0.0;
     int shifts_made = 0;
-    sim::ReliableChannel channel;  // used when fault_tolerance.reliable
-    md::ParticleVector with_halo;
-    md::CellBins bins;
-    md::ForceWorkspace workspace;
-    std::vector<int> target_cells;         // force-phase scratch
-    std::vector<HaloRecord> halo_records;  // halo-pack scratch
-    std::vector<double> sums, maxes, mins;
   };
 
   int left(int rank) const;   // ring neighbour at lower x
@@ -133,7 +116,8 @@ class SlabMd {
   // Fills `cells` (caller-owned scratch, capacity reused) with the sorted
   // flat indices of all cells in layers [lo, hi).
   void cells_of_layers(int lo, int hi, std::vector<int>& cells) const;
-  double layer_load(const Rank& rank, int layer) const;
+  // The rank's descriptor for the boundary-shift decision.
+  SlabInfo slab_info(const Rank& rank) const;
 
   void phase_a_drift_and_times(sim::Comm& comm);
   void phase_b_shift_and_migrate(sim::Comm& comm);
@@ -141,21 +125,27 @@ class SlabMd {
   void phase_d_forces(sim::Comm& comm);
   void phase_e_finish(sim::Comm& comm);
 
-  // Fault-tolerant transport: all ring traffic funnels through these; with
-  // fault_tolerance.reliable the payload rides the rank's ReliableChannel.
+  // Ring transport over send_payload/recv_payload.
   void send_to(sim::Comm& comm, Rank& rank, int dst, int tag,
                sim::Buffer payload);
   sim::Buffer recv_from(sim::Comm& comm, Rank& rank, int src, int tag);
-  // Shared post-construction work: trace attachment and the initial halo +
-  // force phases. `resume` preserves checkpointed busy times.
+  // Halo exchange (each boundary layer to the ring neighbour across it) and
+  // force sweep, used by phases C/D and the init step alike.
+  void send_halo(sim::Comm& comm, Rank& rank, int me, int tag);
+  void absorb_halo(sim::Comm& comm, Rank& rank, int me, int tag);
+  ForceSweep compute_forces(sim::Comm& comm, Rank& rank);
+  // Charges the requested compute seconds to the clock and to busy_accum.
+  double advance_compute(sim::Comm& comm, Rank& rank, double seconds);
+
   // Construction paths behind the EngineConfig constructor.
   void init_fresh(const Box& box, const md::ParticleVector& initial);
   void init_resume(const sim::Buffer& checkpoint);
-  void finish_construction(bool resume,
-                           const std::vector<double>& resume_last_busy);
+  // Shared post-construction work: trace attachment and the initial halo +
+  // force phases. `resume` preserves checkpointed busy times.
+  void finish_construction(bool resume);
 
-  // Span instrumentation (no-ops when config_.trace is null); ids interned
-  // once in the constructor.
+  // Span ids (recorded only when config_.trace is set); interned once in the
+  // constructor.
   struct SpanNames {
     std::uint32_t drift = 0;
     std::uint32_t shift = 0;
@@ -163,8 +153,6 @@ class SlabMd {
     std::uint32_t halo = 0;
     std::uint32_t force = 0;
   };
-  void span_begin(sim::Comm& comm, std::uint32_t name) const;
-  void span_end(sim::Comm& comm, std::uint32_t name) const;
 
   sim::Engine* engine_;
   Box box_;

@@ -1,10 +1,17 @@
 #include "run/run_spec.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 
 namespace pcmd::run {
+
+const char* const kRunFlagsGrammar =
+    "--steps N, --density R, --m M, --seed S, --dlb 0|1, --balancer POLICY, "
+    "--faults PLAN, --checkpoint-every N, --buddy-every N, --spares S, "
+    "--degrade rank=K,at=T, --degrade-factor F, --trace PATH";
 
 DegradeSpec DegradeSpec::parse(const std::string& text, double factor) {
   const auto bad = [&](const std::string& token) {
@@ -141,18 +148,7 @@ theory::MdTrajectoryConfig RunSpec::trajectory_config() const {
 }
 
 ddm::ParallelMdConfig RunSpec::parallel_config() const {
-  ddm::ParallelMdConfig config;
-  config.pe_side = system.pe_side();
-  config.m = system.m;
-  config.cutoff = system.cutoff;
-  config.dt = system.dt;
-  config.rescale_temperature = system.temperature;
-  config.rescale_interval = system.rescale_interval;
-  config.dlb_enabled = dlb_enabled;
-  config.dlb = dlb;
-  config.balancer = balancer;
-  config.fault_tolerance = fault_tolerance;
-  return config;
+  return trajectory_config().parallel_config();
 }
 
 RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
@@ -218,12 +214,47 @@ void require_all_flags_consumed(const Cli& cli, const std::string& program) {
     if (!joined.empty()) joined += ", ";
     joined += "--" + flag;
   }
-  throw SpecError(
-      program + ": unknown flag" + (unknown.size() > 1 ? "s " : " ") + joined +
-      " (shared run flags: --steps N, --density R, --m M, --seed S, "
-      "--dlb 0|1, --balancer POLICY, --faults PLAN, --checkpoint-every N, "
-      "--buddy-every N, --spares S, --degrade rank=K,at=T, "
-      "--degrade-factor F, --trace PATH)");
+  throw SpecError(program + ": unknown flag" +
+                  (unknown.size() > 1 ? "s " : " ") + joined +
+                  " (shared run flags: " + kRunFlagsGrammar + ")");
+}
+
+namespace {
+void print_usage(std::FILE* out, const Usage& usage) {
+  std::fprintf(out, "usage: %s %s\n", usage.program, usage.synopsis);
+  if (usage.run_flags) {
+    std::fprintf(out, "shared run flags: %s\n", kRunFlagsGrammar);
+  }
+}
+}  // namespace
+
+int guarded_main(int argc, char** argv, const Usage& usage,
+                 const std::function<int(const Cli&)>& body) {
+  try {
+    const Cli cli(argc, argv);
+    if (cli.has("help")) {
+      print_usage(stdout, usage);
+      return 0;
+    }
+    return body(cli);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    print_usage(stderr, usage);
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: fatal: %s\n", usage.program, e.what());
+  } catch (...) {
+    std::fprintf(stderr, "%s: fatal: unknown exception\n", usage.program);
+  }
+  return 1;
+}
+
+void require_known_flags(const Cli& cli, const Usage& usage) {
+  if (usage.run_flags) return require_all_flags_consumed(cli, usage.program);
+  if (const auto unknown = cli.unqueried_flags(); !unknown.empty()) {
+    throw SpecError(std::string(usage.program) + ": unknown flag --" +
+                    unknown.front());
+  }
 }
 
 }  // namespace pcmd::run

@@ -27,6 +27,7 @@
 #include "workload/paper_system.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -121,10 +122,28 @@ struct RunSpec {
 // what every harness did by hand before.
 RunSpec parse_run_spec(const Cli& cli, RunSpec defaults = {});
 
+// The shared flags parse_run_spec reads, as one line for usage and errors.
+extern const char* const kRunFlagsGrammar;
+
 // Call after the harness has queried its own extra flags: throws
 // std::invalid_argument listing every flag nobody consumed, together with
 // the shared grammar, so unknown flags are hard errors instead of silently
 // ignored typos.
 void require_all_flags_consumed(const Cli& cli, const std::string& program);
+
+// The entry point of every bench and example binary: main() returns
+// guarded_main(argc, argv, kUsage, run_main), and run_main(cli) reads every
+// flag, calls require_known_flags(cli, kUsage), then does the work. --help
+// prints the usage and exits 0; a std::invalid_argument (SpecError included)
+// exits 2 with the message and usage on stderr; anything else exits 1.
+struct Usage {
+  const char* program = "";   // binary name
+  const char* synopsis = "";  // its own flags
+  bool run_flags = false;     // it also reads parse_run_spec's flags
+};
+int guarded_main(int argc, char** argv, const Usage& usage,
+                 const std::function<int(const Cli&)>& body);
+// require_all_flags_consumed for binaries with or without the shared flags.
+void require_known_flags(const Cli& cli, const Usage& usage);
 
 }  // namespace pcmd::run

@@ -2,12 +2,25 @@
 
 #include "serve/flat_json.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <string_view>
 #include <vector>
 
 namespace pcmd::serve {
 
 namespace {
+
+// FNV-1a, the digest of canonical() text, continued from `hash`.
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+std::uint64_t fnv1a(std::uint64_t hash, std::string_view text) {
+  for (const char c : text) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
 
 // %.17g round-trips IEEE doubles exactly, matching the repo's scoreboard
 // and metrics writers, so canonical() is a stable digest input.
@@ -166,12 +179,7 @@ std::string JobSpec::canonical() const {
 }
 
 std::uint64_t JobSpec::digest() const {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : canonical()) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return fnv1a(kFnvOffset, canonical());
 }
 
 std::uint64_t JobSpec::family_digest() const {
@@ -191,22 +199,16 @@ bool JobSpec::preemptible() const {
 }
 
 std::uint64_t family_digest_of_canonical(const std::string& canonical) {
-  // Mask "--seed <n>" to "--seed 0" textually: canonical() emits the flag
-  // exactly once, so this is a digest over the seed-free configuration.
-  std::string masked = canonical;
-  const std::string flag = "--seed ";
-  const std::size_t at = masked.find(flag);
-  if (at != std::string::npos) {
-    std::size_t end = at + flag.size();
-    while (end < masked.size() && masked[end] != ' ') ++end;
-    masked.replace(at + flag.size(), end - (at + flag.size()), "0");
-  }
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : masked) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  // canonical() emits "--seed <n>" exactly once; hashing it as "--seed 0"
+  // digests the seed-free configuration without building a masked copy.
+  const std::string_view text = canonical;
+  constexpr std::string_view kFlag = "--seed ";
+  const std::size_t at = text.find(kFlag);
+  if (at == std::string_view::npos) return fnv1a(kFnvOffset, text);
+  const std::size_t value = at + kFlag.size();
+  const std::size_t end = std::min(text.find(' ', value), text.size());
+  return fnv1a(fnv1a(fnv1a(kFnvOffset, text.substr(0, value)), "0"),
+               text.substr(end));
 }
 
 }  // namespace pcmd::serve

@@ -117,12 +117,29 @@ EffectiveRangeResult synthetic_effective_range(
   return result;
 }
 
+ddm::ParallelMdConfig MdTrajectoryConfig::parallel_config() const {
+  ddm::ParallelMdConfig config;
+  config.pe_side = spec.pe_side();
+  config.m = spec.m;
+  config.cutoff = spec.cutoff;
+  config.dt = spec.dt;
+  config.rescale_temperature = spec.temperature;
+  config.rescale_interval = spec.rescale_interval;
+  config.dlb_enabled = dlb_enabled;
+  config.dlb = dlb;
+  config.balancer = balancer;
+  config.trace = trace;
+  config.fault_tolerance = fault_tolerance;
+  return config;
+}
+
 MdTrajectoryResult run_md_trajectory(const MdTrajectoryConfig& config) {
   config.spec.validate();
   pcmd::Rng rng(config.spec.seed);
   const auto initial = workload::make_paper_system(config.spec, rng);
 
-  sim::SeqEngine engine(config.spec.pe_count, config.machine);
+  const ddm::ParallelMdConfig pmd_config = config.parallel_config();
+  sim::SeqEngine engine(ddm::engine_rank_count(pmd_config), config.machine);
   if (config.trace) {
     engine.set_trace_sink(config.trace);
   }
@@ -131,20 +148,10 @@ MdTrajectoryResult run_md_trajectory(const MdTrajectoryConfig& config) {
     injector.emplace(config.faults);
     engine.set_fault_injector(&*injector);
   }
-  ddm::ParallelMdConfig pmd_config;
-  pmd_config.pe_side = config.spec.pe_side();
-  pmd_config.m = config.spec.m;
-  pmd_config.cutoff = config.spec.cutoff;
-  pmd_config.dt = config.spec.dt;
-  pmd_config.rescale_temperature = config.spec.temperature;
-  pmd_config.rescale_interval = config.spec.rescale_interval;
-  pmd_config.dlb_enabled = config.dlb_enabled;
-  pmd_config.dlb = config.dlb;
-  pmd_config.balancer = config.balancer;
-  pmd_config.trace = config.trace;
-  pmd_config.fault_tolerance = config.fault_tolerance;
-
-  ddm::ParallelMd pmd(engine, config.spec.box(), initial, pmd_config);
+  ddm::ParallelMd pmd(ddm::EngineConfig{.engine = &engine,
+                                        .box = config.spec.box(),
+                                        .initial = &initial},
+                      pmd_config);
   // Baseline the counter deltas after the constructor's initial force
   // phase, so row 0 covers exactly step 1.
   obs::MetricsRecorder recorder(engine);

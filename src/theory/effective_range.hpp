@@ -106,6 +106,9 @@ struct MdTrajectoryConfig {
   // the virtual clocks only through what the run does with it; the last
   // snapshot and total count are reported in the result).
   int checkpoint_every = 0;
+
+  // The ParallelMd configuration of this run (trace included).
+  ddm::ParallelMdConfig parallel_config() const;
 };
 
 struct MdTrajectoryResult {

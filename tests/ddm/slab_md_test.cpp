@@ -37,26 +37,38 @@ TEST(SlabMd, RejectsBadConfigs) {
     sim::SeqEngine engine(2);
     SlabMdConfig config = small_config();
     config.pe_count = 2;
-    EXPECT_THROW(SlabMd(engine, small_box(), small_gas(10), config),
+    const auto gas = small_gas(10);
+    EXPECT_THROW(SlabMd(EngineConfig{.engine = &engine, .box = small_box(),
+                                     .initial = &gas},
+                        config),
                  std::invalid_argument);
   }
   {
     sim::SeqEngine engine(3);
-    EXPECT_THROW(SlabMd(engine, small_box(), small_gas(10), small_config()),
+    const auto gas = small_gas(10);
+    EXPECT_THROW(SlabMd(EngineConfig{.engine = &engine, .box = small_box(),
+                                     .initial = &gas},
+                        small_config()),
                  std::invalid_argument);  // engine size != pe_count
   }
   {
     sim::SeqEngine engine(10);
     SlabMdConfig config = small_config();
     config.pe_count = 10;  // more PEs than the 8 layers
-    EXPECT_THROW(SlabMd(engine, small_box(), small_gas(10), config),
+    const auto gas = small_gas(10);
+    EXPECT_THROW(SlabMd(EngineConfig{.engine = &engine, .box = small_box(),
+                                     .initial = &gas},
+                        config),
                  std::invalid_argument);
   }
 }
 
 TEST(SlabMd, InitialPartitionEven) {
   sim::SeqEngine engine(4);
-  SlabMd slab(engine, small_box(), small_gas(), small_config());
+  const auto gas = small_gas();
+  SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                           .initial = &gas},
+              small_config());
   for (int r = 0; r < 4; ++r) {
     const auto [lo, hi] = slab.slab_range(r);
     EXPECT_EQ(hi - lo, 2) << "rank " << r;
@@ -66,7 +78,10 @@ TEST(SlabMd, InitialPartitionEven) {
 
 TEST(SlabMd, ParticleCountConserved) {
   sim::SeqEngine engine(4);
-  SlabMd slab(engine, small_box(), small_gas(), small_config(true));
+  const auto gas = small_gas();
+  SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                           .initial = &gas},
+              small_config(true));
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(slab.step().total_particles, 400);
   }
@@ -82,7 +97,9 @@ TEST(SlabMd, MatchesSerialBitwiseWithoutThermostat) {
   md::SerialMd serial(small_box(), initial, serial_config);
 
   sim::SeqEngine engine(4);
-  SlabMd slab(engine, small_box(), initial, small_config(false));
+  SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                           .initial = &initial},
+              small_config(false));
 
   serial.run(20);
   slab.run(20);
@@ -104,7 +121,9 @@ TEST(SlabMd, MatchesSerialBitwiseWithShiftingEnabled) {
   md::SerialMd serial(small_box(), initial, serial_config);
 
   sim::SeqEngine engine(4);
-  SlabMd slab(engine, small_box(), initial, small_config(true));
+  SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                           .initial = &initial},
+              small_config(true));
   serial.run(20);
   slab.run(20);
   const auto par = slab.gather_particles();
@@ -122,7 +141,9 @@ TEST(SlabMd, PartitionInvariantsHoldUnderShifting) {
 
   sim::SeqEngine engine(4);
   SlabMdConfig config = small_config(true);
-  SlabMd slab(engine, small_box(), initial, config);
+  SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                           .initial = &initial},
+              config);
   int shifts = 0;
   for (int i = 0; i < 30; ++i) {
     shifts += slab.step().shifts;
@@ -139,7 +160,9 @@ TEST(SlabMd, ShiftingReducesImbalanceOnConcentratedLoad) {
   auto imbalance = [&](bool shift) {
     sim::SeqEngine engine(4);
     SlabMdConfig config = small_config(shift);
-    SlabMd slab(engine, small_box(), initial, config);
+    SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                             .initial = &initial},
+                config);
     SlabStepStats stats{};
     for (int i = 0; i < 25; ++i) stats = slab.step();
     return (stats.force_max - stats.force_min) /
@@ -150,7 +173,10 @@ TEST(SlabMd, ShiftingReducesImbalanceOnConcentratedLoad) {
 
 TEST(SlabMd, StaticSlabsNeverShift) {
   sim::SeqEngine engine(4);
-  SlabMd slab(engine, small_box(), small_gas(), small_config(false));
+  const auto gas = small_gas();
+  SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                           .initial = &gas},
+              small_config(false));
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(slab.step().shifts, 0);
   }
@@ -177,7 +203,9 @@ TEST(SlabMd, ProtocolAndHappensBeforeCleanUnderShifting) {
     }
     sim::ProtocolChecker checker;
     engine->set_checker(&checker);  // before construction: init halo counts
-    SlabMd slab(*engine, small_box(), initial, small_config(true));
+    SlabMd slab(EngineConfig{.engine = engine.get(), .box = small_box(),
+                             .initial = &initial},
+                small_config(true));
     int shifts = 0;
     for (int i = 0; i < 12; ++i) shifts += slab.step().shifts;
     EXPECT_GT(shifts, 0);  // layer hand-off stamps were actually exercised
@@ -190,7 +218,10 @@ TEST(SlabMd, ProtocolAndHappensBeforeCleanUnderShifting) {
 
 TEST(SlabMd, ForceStatisticsOrdered) {
   sim::SeqEngine engine(4);
-  SlabMd slab(engine, small_box(), small_gas(), small_config(true));
+  const auto gas = small_gas();
+  SlabMd slab(EngineConfig{.engine = &engine, .box = small_box(),
+                           .initial = &gas},
+              small_config(true));
   const auto stats = slab.step();
   EXPECT_GE(stats.t_step, stats.force_max);
   EXPECT_GE(stats.force_max, stats.force_avg);
@@ -201,8 +232,12 @@ TEST(SlabMd, WorksOnThreadBackend) {
   auto initial = small_gas(300, 9);
   sim::SeqEngine seq(4);
   sim::ThreadEngine thread(4);
-  SlabMd a(seq, small_box(), initial, small_config(true));
-  SlabMd b(thread, small_box(), initial, small_config(true));
+  SlabMd a(EngineConfig{.engine = &seq, .box = small_box(),
+                        .initial = &initial},
+           small_config(true));
+  SlabMd b(EngineConfig{.engine = &thread, .box = small_box(),
+                        .initial = &initial},
+           small_config(true));
   for (int i = 0; i < 10; ++i) {
     const auto sa = a.step();
     const auto sb = b.step();

@@ -77,6 +77,19 @@ TEST(JobSpec, PriorityDoesNotChangeTheDigestButPhysicsDoes) {
             JobSpec::parse("--pe 9 --m 2 --steps 10 --seed 4").digest());
 }
 
+TEST(JobSpec, FamilyDigestIsPinnedAndSeedFree) {
+  // Pinned values: family keys (the breaker's state) must not move when the
+  // digest's implementation does.
+  const auto job =
+      JobSpec::parse("--pe 9 --m 2 --density 0.2 --steps 5 --seed 77");
+  EXPECT_EQ(job.family_digest(), 0xee2bb5d51f60ad7fULL);
+  EXPECT_EQ(
+      JobSpec::parse("--pe 9 --m 2 --density 0.2 --steps 5 --seed 123456")
+          .family_digest(),
+      job.family_digest());
+  EXPECT_EQ(family_digest_of_canonical("--steps 3"), 0x238ff1e2423bb3d7ULL);
+}
+
 TEST(JobSpec, PreemptibleOnlyWhenProvablyResumeInvariant) {
   EXPECT_TRUE(JobSpec::parse("--pe 9 --m 2 --steps 10").preemptible());
   EXPECT_FALSE(

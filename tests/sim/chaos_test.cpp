@@ -66,7 +66,10 @@ RunResult run_injected(sim::Engine& engine, const sim::FaultPlan& plan,
   }
   ParallelMdConfig config = chaos_config(dlb);
   config.fault_tolerance.reliable = !plan.empty();
-  ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+  const auto gas = chaos_gas();
+  ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                             .initial = &gas},
+                config);
   RunResult result;
   for (int i = 0; i < steps; ++i) result.stats.push_back(md.step());
   result.particles = md.gather_particles();
@@ -223,7 +226,9 @@ TEST(Chaos, CheckpointKillRestartIsBitwiseIdentical) {
 
   // Uninterrupted reference, DLB on.
   sim::SeqEngine ref_engine(9);
-  ParallelMd reference(ref_engine, chaos_box(), chaos_gas(),
+  const auto gas = chaos_gas();
+  ParallelMd reference(EngineConfig{.engine = &ref_engine, .box = chaos_box(),
+                                    .initial = &gas},
                        chaos_config(/*dlb=*/true));
   std::vector<ParallelStepStats> ref_stats;
   for (int i = 0; i < kTotalSteps; ++i) ref_stats.push_back(reference.step());
@@ -233,13 +238,17 @@ TEST(Chaos, CheckpointKillRestartIsBitwiseIdentical) {
   sim::Buffer snapshot;
   {
     sim::SeqEngine engine(9);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), chaos_config(true));
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &gas},
+                  chaos_config(true));
     for (int i = 0; i < kKillAfter; ++i) md.step();
     snapshot = md.checkpoint();
   }  // original machine gone
 
   sim::SeqEngine resumed_engine(9);
-  ParallelMd resumed(resumed_engine, snapshot, chaos_config(true));
+  ParallelMd resumed(EngineConfig{.engine = &resumed_engine,
+                                  .checkpoint = &snapshot},
+                     chaos_config(true));
   EXPECT_EQ(resumed.step_count(), kKillAfter);
   for (int i = kKillAfter; i < kTotalSteps; ++i) {
     const auto stats = resumed.step();
@@ -272,7 +281,10 @@ TEST(Chaos, CheckpointSurvivesFaultInjectionAcrossTheBoundary) {
     engine.set_fault_injector(&injector);
     ParallelMdConfig config = chaos_config(true);
     config.fault_tolerance.reliable = true;
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto gas = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &gas},
+                  config);
     for (int i = 0; i < kKillAfter; ++i) md.step();
     snapshot = md.checkpoint();
     engine.set_fault_injector(nullptr);
@@ -283,7 +295,8 @@ TEST(Chaos, CheckpointSurvivesFaultInjectionAcrossTheBoundary) {
   engine.set_fault_injector(&injector);
   ParallelMdConfig config = chaos_config(true);
   config.fault_tolerance.reliable = true;
-  ParallelMd resumed(engine, snapshot, config);
+  ParallelMd resumed(EngineConfig{.engine = &engine, .checkpoint = &snapshot},
+                     config);
   for (int i = kKillAfter; i < kTotalSteps; ++i) resumed.step();
   expect_particles_bitwise(reference.particles, resumed.gather_particles(),
                            "faulty restart");
@@ -292,7 +305,10 @@ TEST(Chaos, CheckpointSurvivesFaultInjectionAcrossTheBoundary) {
 
 TEST(Chaos, CheckpointRejectsCorruptionAndWrongEngine) {
   sim::SeqEngine engine(9);
-  ParallelMd md(engine, chaos_box(), chaos_gas(100), chaos_config());
+  const auto gas = chaos_gas(100);
+  ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                             .initial = &gas},
+                chaos_config());
   md.step();
   const sim::Buffer good = md.checkpoint();
 
@@ -302,14 +318,20 @@ TEST(Chaos, CheckpointRejectsCorruptionAndWrongEngine) {
     sim::Buffer bad = good;
     bad[at] ^= 0x20;
     sim::SeqEngine fresh(9);
-    EXPECT_THROW(ParallelMd(fresh, bad, chaos_config()), std::runtime_error)
+    EXPECT_THROW(
+        ParallelMd(EngineConfig{.engine = &fresh, .checkpoint = &bad},
+                   chaos_config()),
+        std::runtime_error)
         << "byte " << at;
   }
   // Truncation fails loudly too.
   {
     sim::Buffer bad(good.begin(), good.begin() + 10);
     sim::SeqEngine fresh(9);
-    EXPECT_THROW(ParallelMd(fresh, bad, chaos_config()), std::runtime_error);
+    EXPECT_THROW(
+        ParallelMd(EngineConfig{.engine = &fresh, .checkpoint = &bad},
+                   chaos_config()),
+        std::runtime_error);
   }
   // A parallel checkpoint cannot resurrect a slab engine (kind mismatch).
   {
@@ -317,14 +339,18 @@ TEST(Chaos, CheckpointRejectsCorruptionAndWrongEngine) {
     SlabMdConfig slab;
     slab.pe_count = 4;
     slab.cells_per_axis = 6;
-    EXPECT_THROW(SlabMd(fresh, good, slab), std::runtime_error);
+    EXPECT_THROW(
+        SlabMd(EngineConfig{.engine = &fresh, .checkpoint = &good}, slab),
+        std::runtime_error);
   }
   // A mismatched decomposition is rejected before any state is restored.
   {
     sim::SeqEngine fresh(9);
     ParallelMdConfig wrong = chaos_config();
     wrong.m = 4;
-    EXPECT_THROW(ParallelMd(fresh, good, wrong), std::runtime_error);
+    EXPECT_THROW(
+        ParallelMd(EngineConfig{.engine = &fresh, .checkpoint = &good}, wrong),
+        std::runtime_error);
   }
 }
 
@@ -341,20 +367,27 @@ TEST(Chaos, SlabCheckpointKillRestartIsBitwiseIdentical) {
   constexpr int kKillAfter = 9;
 
   sim::SeqEngine ref_engine(4);
-  SlabMd reference(ref_engine, chaos_box(), chaos_gas(250, 5), config);
+  const auto gas = chaos_gas(250, 5);
+  SlabMd reference(EngineConfig{.engine = &ref_engine, .box = chaos_box(),
+                                .initial = &gas},
+                   config);
   std::vector<SlabStepStats> ref_stats;
   for (int i = 0; i < kTotalSteps; ++i) ref_stats.push_back(reference.step());
 
   sim::Buffer snapshot;
   {
     sim::SeqEngine engine(4);
-    SlabMd md(engine, chaos_box(), chaos_gas(250, 5), config);
+    SlabMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                           .initial = &gas},
+              config);
     for (int i = 0; i < kKillAfter; ++i) md.step();
     snapshot = md.checkpoint();
   }
 
   sim::SeqEngine resumed_engine(4);
-  SlabMd resumed(resumed_engine, snapshot, config);
+  SlabMd resumed(EngineConfig{.engine = &resumed_engine,
+                              .checkpoint = &snapshot},
+                 config);
   EXPECT_EQ(resumed.step_count(), kKillAfter);
   for (int i = kKillAfter; i < kTotalSteps; ++i) {
     const auto stats = resumed.step();
@@ -418,7 +451,10 @@ TEST(Chaos, PermanentCrashDegradesGracefully) {
   ParallelMdConfig config = chaos_config(/*dlb=*/true);
   config.fault_tolerance.reliable = true;
   config.fault_tolerance.recovery = true;
-  ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+  const auto gas = chaos_gas();
+  ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                             .initial = &gas},
+                config);
 
   std::int64_t particles_before = 0;
   std::int64_t particles_after = -1;
@@ -491,7 +527,10 @@ HealResult run_healing(sim::Engine& engine, const std::string& plan_spec,
     injector.emplace(sim::FaultPlan::parse(plan_spec));
     engine.set_fault_injector(&*injector);
   }
-  ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+  const auto gas = chaos_gas();
+  ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                             .initial = &gas},
+                config);
   HealResult result;
   for (int i = 0; i < steps; ++i) result.stats.push_back(md.step());
   result.particles = md.gather_particles();
@@ -571,7 +610,10 @@ TEST(SelfHealing, CrashAtEveryStepSweepConservesEverything) {
   std::vector<double> step_end;
   {
     sim::SeqEngine engine(10);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto gas = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &gas},
+                  config);
     step_end.push_back(engine.makespan());  // construction
     for (int i = 0; i < kSteps; ++i) {
       md.step();
@@ -736,7 +778,10 @@ TEST(SelfHealing, UnsurvivableCrashesFailLoudly) {
     sim::FaultInjector injector(sim::FaultPlan::parse("crash=4@0"));
     sim::SeqEngine engine(11);
     engine.set_fault_injector(&injector);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto gas = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &gas},
+                  config);
     EXPECT_THROW(
         {
           for (int i = 0; i < 10; ++i) md.step();
@@ -751,7 +796,10 @@ TEST(SelfHealing, UnsurvivableCrashesFailLoudly) {
         sim::FaultPlan::parse("crash=4@0.02,crash=5@0.02"));
     sim::SeqEngine engine(11);
     engine.set_fault_injector(&injector);
-    ParallelMd md(engine, chaos_box(), chaos_gas(), config);
+    const auto gas = chaos_gas();
+    ParallelMd md(EngineConfig{.engine = &engine, .box = chaos_box(),
+                               .initial = &gas},
+                  config);
     EXPECT_THROW(
         {
           for (int i = 0; i < 30; ++i) md.step();

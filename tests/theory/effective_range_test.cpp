@@ -1,5 +1,6 @@
 #include "theory/effective_range.hpp"
 
+#include "sim/fault.hpp"
 #include "theory/bounds.hpp"
 
 #include <gtest/gtest.h>
@@ -133,6 +134,24 @@ TEST(RunMdTrajectory, DlbOverheadBoundedOnBalancedGas) {
     sum_b += b.t_step[i];
   }
   EXPECT_LE(sum_a, sum_b * 1.35);
+}
+
+TEST(RunMdTrajectory, SizesTheEngineForHealingSpares) {
+  // The engine gets pe_count + spares ranks, so a crashed role fails over
+  // onto the spare and the run completes.
+  MdTrajectoryConfig config;
+  config.spec.pe_count = 9;
+  config.spec.m = 2;
+  config.spec.density = 0.2;
+  config.spec.seed = 5;
+  config.steps = 15;
+  config.fault_tolerance.healing.enabled = true;
+  config.fault_tolerance.healing.buddy_every = 5;
+  config.fault_tolerance.healing.spares = 1;
+  config.faults = sim::FaultPlan::parse("crash=4@0.05");
+  const auto result = run_md_trajectory(config);
+  EXPECT_EQ(result.t_step.size(), 15u);
+  EXPECT_EQ(result.failovers_total, 1u);
 }
 
 }  // namespace
