@@ -1,7 +1,8 @@
 // Micro-benchmarks M2: the virtual parallel machine runtime.
 //
-// Host-side overhead of phases, message passing and collectives on both
-// engines — the fixed cost the simulation harness pays per MD step, as
+// Host-side overhead of phases, message passing and collectives on one
+// worker (SeqEngine) and on the hardware's worker count (ThreadEngine) —
+// the fixed cost the simulation harness pays per MD step, as
 // opposed to the modelled (virtual) time. The BM_Trace* group measures the
 // observability layer: detached (compiled in, no sink — must stay within a
 // few percent of the plain runtime) vs attached (events recorded).
@@ -25,6 +26,8 @@ void BM_SeqPhase(benchmark::State& state) {
 }
 BENCHMARK(BM_SeqPhase)->Arg(9)->Arg(36)->Arg(64);
 
+// Ranks split into min(hw, ranks) blocks: past the core count the cost per
+// phase grows with the ranks each worker runs, not with thread wake-ups.
 void BM_ThreadPhase(benchmark::State& state) {
   ThreadEngine engine(static_cast<int>(state.range(0)),
                       MachineModel::ideal_network());
@@ -33,7 +36,7 @@ void BM_ThreadPhase(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ThreadPhase)->Arg(9)->Arg(36);
+BENCHMARK(BM_ThreadPhase)->Arg(9)->Arg(36)->Arg(256);
 
 void BM_SendRecvRing(benchmark::State& state) {
   const int ranks = 16;

@@ -182,9 +182,16 @@ RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
     }
     spec.checkpoint_every = static_cast<int>(
         cli.get_int("checkpoint-every", spec.checkpoint_every));
-    const int buddy_every =
-        static_cast<int>(cli.get_int("buddy-every", 0));
-    const int spares = static_cast<int>(cli.get_int("spares", 0));
+    const auto count = [&cli](const char* flag) {
+      const std::int64_t value = cli.get_int(flag, 0);
+      if (value < 0) {
+        throw SpecError(std::string("--") + flag + ": " +
+                        std::to_string(value) + " is negative (a count)");
+      }
+      return static_cast<int>(value);
+    };
+    const int buddy_every = count("buddy-every");
+    const int spares = count("spares");
     if (buddy_every > 0 || spares > 0) {
       spec.fault_tolerance.healing.enabled = true;
       if (buddy_every > 0) {

@@ -54,9 +54,9 @@ JobSpec parse_tokens(const std::vector<std::string>& tokens) {
   argv.reserve(tokens.size() + 1);
   argv.push_back("job-spec");
   for (const auto& token : tokens) argv.push_back(token.c_str());
-  const Cli cli(static_cast<int>(argv.size()), argv.data());
 
   try {
+    const Cli cli(static_cast<int>(argv.size()), argv.data());
     JobSpec job;
     job.run.system.pe_count =
         static_cast<int>(cli.get_int("pe", job.run.system.pe_count));

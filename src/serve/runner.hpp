@@ -1,9 +1,10 @@
 // The fault-containment boundary: one job attempt, never throws.
 //
-// run_attempt() builds a private virtual machine (SeqEngine or
-// ThreadEngine), launches ddm::ParallelMd over it — fresh, or resumed from
-// a preemption checkpoint — and steps to completion, classifying every
-// escape hatch out of the stack below into a typed AttemptResult:
+// run_attempt() builds a private virtual machine (SeqEngine: one worker;
+// ThreadEngine: min(hw, ranks) workers), launches ddm::ParallelMd over it —
+// fresh, or resumed from a preemption checkpoint — and steps to completion,
+// classifying every escape hatch out of the stack below into a typed
+// AttemptResult:
 //
 //   run::SpecError / bad geometry     -> kMalformedSpec   (not retryable)
 //   sim::ChecksumError (SDC caught)   -> kChecksum        (retryable)

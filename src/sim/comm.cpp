@@ -5,8 +5,10 @@
 #include "sim/trace_sink.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 // Protocol-checker hooks. Compiled in when PCMD_CHECKER_ENABLED is 1 (the
 // PCMD_CHECKER CMake option, defaulted in comm.hpp); then each hook is one
@@ -105,10 +107,92 @@ const RankCounters& Comm::counters() const {
 
 // -------------------------------------------------------------- Engine ----
 
-Engine::Engine(int ranks, MachineModel model)
-    : ranks_(ranks), model_(std::move(model)), hop_model_(std::max(ranks, 1)) {
-  if (ranks < 1) {
-    throw std::invalid_argument("Engine: need at least one rank");
+// Persistent helper threads for workers 1..W-1, woken per phase; the driving
+// thread runs block 0 itself. A generation counter implements the phase
+// barrier. It is futex-backed (C++20 atomic wait/notify), so dispatch takes
+// no lock: helpers sleep on `generation`, the caller on `pending`. A bump
+// with no body published (it is null between phases) tells helpers to exit.
+//
+// Ordering: `body` is published by the release bump of `generation` and read
+// under its acquire load; each helper's rank effects and error slot are
+// published by its release fetch_sub of `pending`, and the caller's acquire
+// load of 0 synchronizes with every decrement in the release sequence, so
+// the driving thread observes all rank state before run_phase returns.
+struct Engine::Helpers {
+  Helpers(Engine* engine_in, int workers) : engine(engine_in), errors(workers) {
+    for (int w = 0; w <= workers; ++w) {
+      bounds.push_back(static_cast<int>(static_cast<std::int64_t>(w) *
+                                        engine->size() / workers));
+    }
+    try {
+      for (int w = 1; w < workers; ++w) {
+        threads.emplace_back([this, w] { loop(w); });
+      }
+    } catch (...) {
+      stop();  // join the helpers already started before unwinding
+      throw;
+    }
+  }
+  ~Helpers() { stop(); }
+  Helpers(const Helpers&) = delete;
+  Helpers& operator=(const Helpers&) = delete;
+
+  void stop() {
+    generation.fetch_add(1, std::memory_order_release);
+    generation.notify_all();
+    for (auto& t : threads) t.join();
+  }
+
+  void run(const std::function<void(Comm&)>& phase_body) {
+    body = &phase_body;
+    pending.store(static_cast<int>(threads.size()), std::memory_order_relaxed);
+    generation.fetch_add(1, std::memory_order_release);
+    generation.notify_all();
+    errors[0] = engine->run_ranks(bounds[0], bounds[1], phase_body);
+    for (;;) {
+      const int left = pending.load(std::memory_order_acquire);
+      if (left == 0) break;
+      pending.wait(left, std::memory_order_acquire);
+    }
+    body = nullptr;
+    // Blocks are contiguous and each stops at its first throw, so the
+    // lowest worker's error is the lowest-numbered rank's. Every slot is
+    // rewritten each phase, so none needs clearing.
+    for (const auto& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+  }
+
+  void loop(int w) {
+    std::uint64_t seen = 0;
+    for (;;) {
+      generation.wait(seen, std::memory_order_acquire);
+      seen = generation.load(std::memory_order_acquire);
+      if (body == nullptr) return;  // stop()
+      const auto wi = static_cast<std::size_t>(w);
+      errors[wi] = engine->run_ranks(bounds[wi], bounds[wi + 1], *body);
+      if (pending.fetch_sub(1, std::memory_order_release) == 1) {
+        pending.notify_one();  // last helper out wakes the driving thread
+      }
+    }
+  }
+
+  Engine* engine;
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<int> pending{0};
+  const std::function<void(Comm&)>* body = nullptr;
+  std::vector<int> bounds;  // worker w runs ranks [bounds[w], bounds[w + 1])
+  std::vector<std::exception_ptr> errors;  // one slot per worker
+  std::vector<std::thread> threads;        // after everything they use
+};
+
+Engine::Engine(int ranks, MachineModel model, int workers)
+    : ranks_(ranks),
+      workers_(std::min(workers, ranks)),
+      model_(std::move(model)),
+      hop_model_(std::max(ranks, 1)) {
+  if (ranks < 1 || workers < 1) {
+    throw std::invalid_argument("Engine: need at least one rank and worker");
   }
   states_.reserve(ranks_);
   for (int r = 0; r < ranks_; ++r) {
@@ -116,6 +200,7 @@ Engine::Engine(int ranks, MachineModel model)
   }
   alive_.assign(static_cast<std::size_t>(ranks_), 1);
   parked_.assign(static_cast<std::size_t>(ranks_), 0);
+  if (workers_ > 1) helpers_ = std::make_unique<Helpers>(this, workers_);
 }
 
 Engine::~Engine() = default;
@@ -211,12 +296,13 @@ void Engine::declare_dead(int rank) {
   alive_.at(static_cast<std::size_t>(rank)) = 0;
 }
 
-void Engine::notify_phase_begin() {
+void Engine::run_phase(const std::function<void(Comm&)>& body) {
+  ++phase_;
   PCMD_CHECKER_HOOK(this, on_phase_begin(phase_));
   if (faults_ != nullptr) {
     // Crashes land only here — between phases, on the driving thread — so
-    // phase bodies see a consistent aliveness view and both engines agree
-    // on exactly which phase a rank died before.
+    // phase bodies see a consistent aliveness view and every worker count
+    // agrees on exactly which phase a rank died before.
     for (int r = 0; r < ranks_; ++r) {
       if (alive_[static_cast<std::size_t>(r)] != 0 &&
           faults_->crashed(r, states_[static_cast<std::size_t>(r)]->clock)) {
@@ -224,6 +310,25 @@ void Engine::notify_phase_begin() {
       }
     }
   }
+  if (helpers_) {
+    helpers_->run(body);
+  } else if (auto error = run_ranks(0, ranks_, body)) {
+    std::rethrow_exception(error);
+  }
+}
+
+std::exception_ptr Engine::run_ranks(int begin, int end,
+                                     const std::function<void(Comm&)>& body) {
+  try {
+    for (int r = begin; r < end; ++r) {
+      if (!alive(r)) continue;  // crashed ranks never run again
+      Comm comm(this, r);
+      body(comm);
+    }
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
 }
 
 Comm::SendOutcome Engine::do_send(int src, int dst, int tag, Buffer payload,

@@ -3,13 +3,15 @@
 //
 // Programming model (BSP phases):
 //   * A program is driven as a sequence of *phases*. In each phase the same
-//     callable runs once per rank (sequentially in SeqEngine, concurrently in
-//     ThreadEngine).
+//     callable runs once per rank. The engine splits the ranks into one
+//     contiguous block per worker thread; a block runs its ranks in order,
+//     blocks run concurrently (SeqEngine: one worker, ThreadEngine: one per
+//     hardware thread).
 //   * `send` is asynchronous and may target any rank.
 //   * `recv` may only consume messages sent in an *earlier* phase. Receiving
 //     a message that was never sent (or was sent in the same phase) is a
-//     protocol error and throws — this guarantee is what makes the
-//     sequential and threaded engines bitwise-identical.
+//     protocol error and throws — this guarantee is what makes every worker
+//     count bitwise-identical.
 //   * Collectives are split-phase: `collective_begin` in one phase,
 //     `collective_end` in a later phase.
 //
@@ -25,10 +27,13 @@
 #include "sim/message.hpp"
 #include "sim/topology.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 // Compile-time switch for the protocol-checker hooks (the PCMD_CHECKER CMake
@@ -209,20 +214,28 @@ class ChecksumError : public ProtocolError {
 };
 
 // Engine: owns rank state (clocks, mailboxes, collectives) and executes
-// phases. Concrete subclasses decide sequential vs threaded execution.
+// phases on a fixed set of worker threads, so M ranks run on N workers.
 class Engine {
  public:
-  Engine(int ranks, MachineModel model);
+  // `workers` is clamped to `ranks`. One worker runs every phase on the
+  // calling thread with no helper thread and no atomic; more workers add
+  // persistent helper threads.
+  Engine(int ranks, MachineModel model, int workers);
   virtual ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   int size() const { return ranks_; }
+  int workers() const { return workers_; }
   const MachineModel& model() const { return model_; }
 
-  // Runs `body` once per rank as the next phase.
-  virtual void run_phase(const std::function<void(Comm&)>& body) = 0;
+  // Runs `body` once per alive rank as the next phase. Worker w runs ranks
+  // [w*P/W, (w+1)*P/W) in order and stops its block at the first throw; the
+  // calling thread is worker 0. If any rank threw, the exception of the
+  // lowest-numbered rank that threw is rethrown once every block is done,
+  // so the surfaced failure does not depend on the worker count.
+  void run_phase(const std::function<void(Comm&)>& body);
 
   // Inspection (valid between phases).
   double clock(int rank) const;
@@ -270,8 +283,8 @@ class Engine {
   // Crash status. A crash scheduled at virtual time T takes effect at the
   // first phase boundary where the rank's clock has reached T: the rank's
   // phase body is simply never run again (its clock freezes, messages to it
-  // rot unread, messages from it stop). Aliveness is recomputed only in
-  // notify_phase_begin — on the driving thread, between phases — so phase
+  // rot unread, messages from it stop). Aliveness is recomputed only at the
+  // top of run_phase — on the driving thread, between phases — so phase
   // bodies may read it without synchronisation and every rank observes the
   // same view for a whole phase.
   bool alive(int rank) const { return alive_[static_cast<std::size_t>(rank)] != 0; }
@@ -295,14 +308,9 @@ class Engine {
   // that keeps producing corrupt state. Call only between phases.
   void declare_dead(int rank);
 
- protected:
-  // Subclasses call this at the top of run_phase, after ++phase_.
-  void notify_phase_begin();
-
-  int phase_ = 0;
-
  private:
   friend class Comm;
+  struct Helpers;
 
   struct CollectiveSlot {
     ReduceOp op = ReduceOp::kSum;
@@ -341,14 +349,20 @@ class Engine {
   std::vector<double> do_collective_end(int rank);
   void do_hb_access(int rank, HbObject object, bool is_write,
                     const char* site);
+  // Runs ranks [begin, end) in order, stopping at the first throw; returns
+  // that exception, if any.
+  std::exception_ptr run_ranks(int begin, int end,
+                               const std::function<void(Comm&)>& body);
 
   int ranks_;
+  int workers_;
+  int phase_ = 0;
   MachineModel model_;
   HopModel hop_model_;
   ProtocolChecker* checker_ = nullptr;
   TraceSink* sink_ = nullptr;
   FaultInjector* faults_ = nullptr;
-  // 1 = alive. Written only between phases (notify_phase_begin); read freely
+  // 1 = alive. Written only between phases (run_phase); read freely
   // by phase bodies. Once 0, stays 0.
   std::vector<char> alive_;
   // 1 = parked (idling spare). Written only between phases (set_parked);
@@ -357,26 +371,27 @@ class Engine {
   std::vector<std::unique_ptr<RankState>> states_;
   std::vector<CollectiveSlot> collectives_;
   mutable std::mutex collective_mutex_;
+  // Worker threads 1..W-1; null when W == 1. Declared last so it is
+  // destroyed (its threads joined) before the rank state they touch.
+  std::unique_ptr<Helpers> helpers_;
 };
 
-// Deterministic sequential engine: ranks run one after another per phase.
+// The two engine names the programs spell (`--engine seq|thread`).
+// SeqEngine runs every rank on the calling thread.
 class SeqEngine final : public Engine {
  public:
-  SeqEngine(int ranks, MachineModel model = MachineModel::t3e());
-  void run_phase(const std::function<void(Comm&)>& body) override;
+  SeqEngine(int ranks, MachineModel model = MachineModel::t3e())
+      : Engine(ranks, std::move(model), 1) {}
 };
 
-// Thread-backed engine: one persistent worker per rank, phases separated by
-// barriers. Produces results identical to SeqEngine.
+// ThreadEngine runs the ranks on min(hardware threads, ranks) workers and
+// produces results identical to SeqEngine.
 class ThreadEngine final : public Engine {
  public:
-  ThreadEngine(int ranks, MachineModel model = MachineModel::t3e());
-  ~ThreadEngine() override;
-  void run_phase(const std::function<void(Comm&)>& body) override;
-
- private:
-  struct Pool;
-  std::unique_ptr<Pool> pool_;
+  ThreadEngine(int ranks, MachineModel model = MachineModel::t3e())
+      : Engine(ranks, std::move(model),
+               std::max(1, static_cast<int>(
+                               std::thread::hardware_concurrency()))) {}
 };
 
 }  // namespace pcmd::sim

@@ -5,9 +5,10 @@
 // modelled event: compute charged by advance(), point-to-point send/recv,
 // and split-phase collectives. All timestamps are *virtual* seconds on the
 // acting rank's clock. Callbacks for rank r are invoked on the execution
-// context that runs rank r (the driving thread in SeqEngine, rank r's worker
-// in ThreadEngine), so a sink keeping per-rank state needs no locking for
-// it. Detached cost is one predicted-not-taken branch per event.
+// context that runs rank r (the worker whose block holds r: the driving
+// thread for block 0 and on SeqEngine), so a sink keeping per-rank state
+// needs no locking for it. Detached cost is one predicted-not-taken branch
+// per event.
 //
 // The concrete production sink is obs::TraceCollector (src/obs); the
 // interface lives here so pcmd_sim does not depend on pcmd_obs.

@@ -10,8 +10,8 @@ Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(std::move(arg));
-      continue;
+      throw std::invalid_argument("unexpected argument '" + arg +
+                                  "' (every option is a --flag)");
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');

@@ -12,8 +12,10 @@ namespace pcmd {
 
 class Cli {
  public:
-  // Parses argv; unknown flags are kept and reported by unknown_flags() so
-  // harnesses can reject typos. Positional arguments are collected in order.
+  // Parses argv; unknown flags are kept and reported by unqueried_flags() so
+  // harnesses can reject typos. No program takes positional arguments: a
+  // token that is neither a flag nor a flag's value throws
+  // std::invalid_argument naming it.
   Cli(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
@@ -32,8 +34,6 @@ class Cli {
   // any other token is an error.
   bool get_bool(const std::string& name, bool fallback) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-
   // Flags seen on the command line that were never queried. Call after all
   // get()/has() calls; useful to error out on typos.
   std::vector<std::string> unqueried_flags() const;
@@ -41,7 +41,6 @@ class Cli {
  private:
   std::map<std::string, std::string> flags_;
   mutable std::map<std::string, bool> queried_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace pcmd

@@ -12,16 +12,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <sstream>
 
 namespace pcmd::ddm {
 namespace {
 
+// Which engine runs the ranks. One byte wide, so the parameter's printed
+// bytes (part of each test's name) match those of the bool it replaced.
+enum class Backend : std::uint8_t { kSeq, kThread, kThreeWorkers };
+using enum Backend;
+
 struct SweepParam {
   int pe_side;
   int m;
   bool dlb;
-  bool thread_backend;
+  Backend backend;
   int particles;
   std::uint64_t seed;
   BalancerKind balancer = BalancerKind::kPermanent;
@@ -33,7 +40,7 @@ std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   // chained "literal" + std::to_string temporaries at -O2.
   std::ostringstream os;
   os << "s" << p.pe_side << "m" << p.m << (p.dlb ? "dlb" : "static")
-     << (p.thread_backend ? "Thread" : "Seq");
+     << (p.backend == kSeq ? "Seq" : p.backend == kThread ? "Thread" : "W3");
   if (p.balancer != BalancerKind::kPermanent) {
     os << "_" << balancer_name(p.balancer);
   }
@@ -66,11 +73,19 @@ TEST_P(ParitySweep, ParallelMatchesSerialBitwise) {
   config.dlb.fallback_to_helpable = param.dlb;  // exercise both code paths
   config.balancer.kind = param.balancer;
 
+  const int ranks = param.pe_side * param.pe_side;
   std::unique_ptr<sim::Engine> engine;
-  if (param.thread_backend) {
-    engine = std::make_unique<sim::ThreadEngine>(param.pe_side * param.pe_side);
-  } else {
-    engine = std::make_unique<sim::SeqEngine>(param.pe_side * param.pe_side);
+  switch (param.backend) {
+    case kSeq:
+      engine = std::make_unique<sim::SeqEngine>(ranks);
+      break;
+    case kThread:
+      engine = std::make_unique<sim::ThreadEngine>(ranks);
+      break;
+    case kThreeWorkers:
+      engine =
+          std::make_unique<sim::Engine>(ranks, sim::MachineModel::t3e(), 3);
+      break;
   }
   ParallelMd parallel(EngineConfig{.engine = engine.get(), .box = box,
                                    .initial = &initial},
@@ -95,15 +110,18 @@ TEST_P(ParitySweep, ParallelMatchesSerialBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ParitySweep,
-    ::testing::Values(SweepParam{3, 2, false, false, 300, 1},
-                      SweepParam{3, 2, true, false, 300, 2},
-                      SweepParam{3, 3, true, false, 500, 3},
-                      SweepParam{3, 4, true, false, 700, 4},
-                      SweepParam{4, 2, true, false, 500, 5},
-                      SweepParam{4, 3, true, false, 800, 6},
-                      SweepParam{5, 2, true, false, 700, 7},
-                      SweepParam{3, 2, true, true, 300, 8},
-                      SweepParam{4, 2, true, true, 500, 9}),
+    ::testing::Values(SweepParam{3, 2, false, kSeq, 300, 1},
+                      SweepParam{3, 2, true, kSeq, 300, 2},
+                      SweepParam{3, 3, true, kSeq, 500, 3},
+                      SweepParam{3, 4, true, kSeq, 700, 4},
+                      SweepParam{4, 2, true, kSeq, 500, 5},
+                      SweepParam{4, 3, true, kSeq, 800, 6},
+                      SweepParam{5, 2, true, kSeq, 700, 7},
+                      SweepParam{3, 2, true, kThread, 300, 8},
+                      SweepParam{4, 2, true, kThread, 500, 9},
+                      SweepParam{3, 2, true, kThreeWorkers, 300, 10},
+                      SweepParam{4, 2, true, kThreeWorkers, 500, 11},
+                      SweepParam{5, 2, true, kThreeWorkers, 700, 12}),
     param_name);
 
 // Every non-paper balancer policy preserves serial parity too: decisions
@@ -112,17 +130,18 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     Balancers, ParitySweep,
     ::testing::Values(
-        SweepParam{3, 2, true, false, 300, 21, BalancerKind::kRescale},
-        SweepParam{4, 2, true, false, 500, 22, BalancerKind::kRescale},
-        SweepParam{3, 3, true, false, 500, 23, BalancerKind::kRescale},
-        SweepParam{3, 2, true, false, 300, 24, BalancerKind::kDiffusion},
-        SweepParam{4, 2, true, false, 500, 25, BalancerKind::kDiffusion},
-        SweepParam{3, 3, true, false, 500, 26, BalancerKind::kDiffusion},
-        SweepParam{3, 2, true, false, 300, 27, BalancerKind::kNone},
-        SweepParam{4, 2, true, false, 500, 28, BalancerKind::kNone},
-        SweepParam{3, 2, true, true, 300, 29, BalancerKind::kRescale},
-        SweepParam{3, 2, true, true, 300, 30, BalancerKind::kDiffusion},
-        SweepParam{3, 2, true, true, 300, 31, BalancerKind::kNone}),
+        SweepParam{3, 2, true, kSeq, 300, 21, BalancerKind::kRescale},
+        SweepParam{4, 2, true, kSeq, 500, 22, BalancerKind::kRescale},
+        SweepParam{3, 3, true, kSeq, 500, 23, BalancerKind::kRescale},
+        SweepParam{3, 2, true, kSeq, 300, 24, BalancerKind::kDiffusion},
+        SweepParam{4, 2, true, kSeq, 500, 25, BalancerKind::kDiffusion},
+        SweepParam{3, 3, true, kSeq, 500, 26, BalancerKind::kDiffusion},
+        SweepParam{3, 2, true, kSeq, 300, 27, BalancerKind::kNone},
+        SweepParam{4, 2, true, kSeq, 500, 28, BalancerKind::kNone},
+        SweepParam{3, 2, true, kThread, 300, 29, BalancerKind::kRescale},
+        SweepParam{3, 2, true, kThread, 300, 30, BalancerKind::kDiffusion},
+        SweepParam{3, 2, true, kThread, 300, 31, BalancerKind::kNone},
+        SweepParam{4, 2, true, kThreeWorkers, 500, 32, BalancerKind::kDiffusion}),
     param_name);
 
 }  // namespace

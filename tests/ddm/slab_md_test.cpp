@@ -2,6 +2,7 @@
 
 #include "md/serial_md.hpp"
 #include "sim/checker.hpp"
+#include "support/engines.hpp"
 #include "support/test_workloads.hpp"
 #include "util/rng.hpp"
 #include "workload/gas.hpp"
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 namespace pcmd::ddm {
 namespace {
@@ -194,13 +196,7 @@ TEST(SlabMd, ProtocolAndHappensBeforeCleanUnderShifting) {
   // concentrated load guarantees real shifts are exercised.
   const auto initial =
       pcmd::testing::concentrated_lattice(600, small_box(), 0.75, 0.25);
-  for (const bool threaded : {false, true}) {
-    std::unique_ptr<sim::Engine> engine;
-    if (threaded) {
-      engine = std::make_unique<sim::ThreadEngine>(4);
-    } else {
-      engine = std::make_unique<sim::SeqEngine>(4);
-    }
+  for (const auto& engine : pcmd::testing::parity_engines(4)) {
     sim::ProtocolChecker checker;
     engine->set_checker(&checker);  // before construction: init halo counts
     SlabMd slab(EngineConfig{.engine = engine.get(), .box = small_box(),
@@ -210,8 +206,8 @@ TEST(SlabMd, ProtocolAndHappensBeforeCleanUnderShifting) {
     for (int i = 0; i < 12; ++i) shifts += slab.step().shifts;
     EXPECT_GT(shifts, 0);  // layer hand-off stamps were actually exercised
     const auto report = checker.report();
-    EXPECT_TRUE(report.ok()) << (threaded ? "thread: " : "seq: ")
-                             << report.to_string();
+    EXPECT_TRUE(report.ok()) << engine->workers()
+                             << " workers: " << report.to_string();
     engine->set_checker(nullptr);
   }
 }
@@ -230,19 +226,21 @@ TEST(SlabMd, ForceStatisticsOrdered) {
 
 TEST(SlabMd, WorksOnThreadBackend) {
   auto initial = small_gas(300, 9);
-  sim::SeqEngine seq(4);
-  sim::ThreadEngine thread(4);
-  SlabMd a(EngineConfig{.engine = &seq, .box = small_box(),
-                        .initial = &initial},
-           small_config(true));
-  SlabMd b(EngineConfig{.engine = &thread, .box = small_box(),
-                        .initial = &initial},
-           small_config(true));
+  const auto engines = pcmd::testing::parity_engines(4);
+  std::vector<std::unique_ptr<SlabMd>> slabs;
+  for (const auto& engine : engines) {
+    slabs.push_back(std::make_unique<SlabMd>(
+        EngineConfig{.engine = engine.get(), .box = small_box(),
+                     .initial = &initial},
+        small_config(true)));
+  }
   for (int i = 0; i < 10; ++i) {
-    const auto sa = a.step();
-    const auto sb = b.step();
-    ASSERT_EQ(sa.potential_energy, sb.potential_energy);
-    ASSERT_EQ(sa.t_step, sb.t_step);
+    const auto seq = slabs[0]->step();
+    for (std::size_t e = 1; e < slabs.size(); ++e) {
+      const auto other = slabs[e]->step();
+      ASSERT_EQ(seq.potential_energy, other.potential_energy) << e;
+      ASSERT_EQ(seq.t_step, other.t_step) << e;
+    }
   }
 }
 

@@ -151,6 +151,14 @@ TEST(RunSpecParser, CheckpointAndHealingFlags) {
   EXPECT_EQ(spares_only.fault_tolerance.healing.spares, 2);
 }
 
+TEST(RunSpecParser, NegativeHealingCountsAreRejected) {
+  expect_rejected([] { parse({"--spares", "-1"}); },
+                  {"--spares", "-1", "negative"});
+  expect_rejected([] { parse({"--buddy-every", "-1", "--spares", "1"}); },
+                  {"--buddy-every", "-1", "negative"});
+  EXPECT_FALSE(parse({"--spares", "0"}).healing_enabled());
+}
+
 TEST(RunSpecParser, DegradeSpecWithDefaultAndExplicitFactor) {
   const auto spec = parse({"--degrade", "rank=4,at=0.05"});
   ASSERT_TRUE(spec.degrade.has_value());

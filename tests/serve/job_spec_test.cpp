@@ -123,6 +123,18 @@ TEST(JobSpec, MalformedFlagsThrowNamingFlagAndToken) {
   expect_rejected([] { JobSpec::parse("--faults seed=x"); }, {"--faults"});
 }
 
+TEST(JobSpec, StrayTokensAndNegativeCountsAreRejected) {
+  expect_rejected([] { JobSpec::parse("junk --steps 2"); }, {"'junk'"});
+  expect_rejected([] { JobSpec::parse("--steps 2 junk"); }, {"'junk'"});
+  expect_rejected([] { JobSpec::parse("--pe 9 --m 2 --spares -1"); },
+                  {"--spares", "-1", "negative"});
+  expect_rejected(
+      [] { JobSpec::parse("--pe 9 --m 2 --buddy-every -1 --spares 1"); },
+      {"--buddy-every", "-1", "negative"});
+  expect_rejected([] { JobSpec::parse("{\"spares\": -1}"); },
+                  {"--spares", "negative"});
+}
+
 TEST(JobSpec, MalformedJsonThrowsNamingByteOffset) {
   expect_rejected([] { JobSpec::parse("{\"steps\": 10"); }, {"byte"});
   expect_rejected([] { JobSpec::parse("{\"steps\": [10]}"); },

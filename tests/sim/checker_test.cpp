@@ -4,6 +4,7 @@
 #include "sim/checker.hpp"
 
 #include "sim/comm.hpp"
+#include "support/engines.hpp"
 
 #include <gtest/gtest.h>
 
@@ -388,14 +389,8 @@ TEST(CheckerEngine, SeededProtocolRaceFlaggedOnBothEngines) {
   // happily serialize. Both engines must flag it, with identical reports
   // (detection depends only on the message graph, not the schedule).
   std::vector<std::string> reports;
-  for (const bool threaded : {false, true}) {
+  for (const auto& engine : pcmd::testing::parity_engines(4)) {
     ProtocolChecker checker;
-    std::unique_ptr<Engine> engine;
-    if (threaded) {
-      engine = std::make_unique<ThreadEngine>(4);
-    } else {
-      engine = std::make_unique<SeqEngine>(4);
-    }
     engine->set_checker(&checker);
     engine->run_phase([](Comm& comm) {
       if (comm.rank() == 1 || comm.rank() == 3) {
@@ -408,20 +403,14 @@ TEST(CheckerEngine, SeededProtocolRaceFlaggedOnBothEngines) {
     reports.push_back(report.to_string());
     engine->set_checker(nullptr);
   }
-  EXPECT_EQ(reports[0], reports[1]);
+  for (const auto& report : reports) EXPECT_EQ(report, reports[0]);
 }
 
 TEST(CheckerEngine, MessageOrderedAccessesStayCleanOnBothEngines) {
   // Same two touches, but a message from rank 1 to rank 3 between them:
   // the canonical ownership hand-off. Must be silent on both engines.
-  for (const bool threaded : {false, true}) {
+  for (const auto& engine : pcmd::testing::parity_engines(4)) {
     ProtocolChecker checker;
-    std::unique_ptr<Engine> engine;
-    if (threaded) {
-      engine = std::make_unique<ThreadEngine>(4);
-    } else {
-      engine = std::make_unique<SeqEngine>(4);
-    }
     engine->set_checker(&checker);
     engine->run_phase([](Comm& comm) {
       if (comm.rank() == 1) {
@@ -436,21 +425,15 @@ TEST(CheckerEngine, MessageOrderedAccessesStayCleanOnBothEngines) {
       }
     });
     const auto report = checker.report();
-    EXPECT_TRUE(report.ok()) << (threaded ? "thread: " : "seq: ")
-                             << report.to_string();
+    EXPECT_TRUE(report.ok()) << engine->workers()
+                             << " workers: " << report.to_string();
     engine->set_checker(nullptr);
   }
 }
 
 TEST(CheckerEngine, BarrierOrdersAccessesAcrossRanks) {
-  for (const bool threaded : {false, true}) {
+  for (const auto& engine : pcmd::testing::parity_engines(4)) {
     ProtocolChecker checker;
-    std::unique_ptr<Engine> engine;
-    if (threaded) {
-      engine = std::make_unique<ThreadEngine>(4);
-    } else {
-      engine = std::make_unique<SeqEngine>(4);
-    }
     engine->set_checker(&checker);
     engine->run_phase([](Comm& comm) {
       if (comm.rank() == 1) {

@@ -1,38 +1,98 @@
-// Engine semantics tests, parameterised over both backends: every behaviour
-// must be identical for SeqEngine and ThreadEngine.
+// Engine semantics tests, parameterised over the worker count: every
+// behaviour must be identical for SeqEngine (one worker), two and three
+// workers, and ThreadEngine (min(hw, ranks) workers).
 #include "sim/comm.hpp"
+#include "sim/reliable.hpp"
 #include "sim/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace pcmd::sim {
 namespace {
 
-enum class Backend { kSeq, kThread };
+// Which constructor builds the engine under test.
+enum class Workers { kSeq, kThread, kTwo, kThree };
 
-std::unique_ptr<Engine> make_engine(Backend backend, int ranks,
+std::unique_ptr<Engine> make_engine(Workers workers, int ranks,
                                     MachineModel model = MachineModel::t3e()) {
-  if (backend == Backend::kSeq) {
-    return std::make_unique<SeqEngine>(ranks, std::move(model));
+  switch (workers) {
+    case Workers::kSeq:
+      return std::make_unique<SeqEngine>(ranks, std::move(model));
+    case Workers::kThread:
+      return std::make_unique<ThreadEngine>(ranks, std::move(model));
+    case Workers::kTwo:
+      return std::make_unique<Engine>(ranks, std::move(model), 2);
+    case Workers::kThree:
+      return std::make_unique<Engine>(ranks, std::move(model), 3);
   }
-  return std::make_unique<ThreadEngine>(ranks, std::move(model));
+  return nullptr;
 }
 
-class EngineTest : public ::testing::TestWithParam<Backend> {};
+int hardware_workers() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+class EngineTest : public ::testing::TestWithParam<Workers> {};
 
 TEST_P(EngineTest, RunsBodyOncePerRank) {
-  auto engine = make_engine(GetParam(), 4);
-  std::vector<int> hits(4, 0);
-  std::mutex mutex;
-  engine->run_phase([&](Comm& comm) {
-    std::lock_guard lock(mutex);
-    hits[comm.rank()]++;
-  });
-  EXPECT_EQ(hits, (std::vector<int>{1, 1, 1, 1}));
+  // Rank counts the worker counts do not divide: uneven blocks.
+  for (const int ranks : {1, 4, 5, 7}) {
+    auto engine = make_engine(GetParam(), ranks);
+    std::vector<int> hits(static_cast<std::size_t>(ranks), 0);
+    std::mutex mutex;
+    engine->run_phase([&](Comm& comm) {
+      std::lock_guard lock(mutex);
+      hits[static_cast<std::size_t>(comm.rank())]++;
+    });
+    EXPECT_EQ(hits, std::vector<int>(static_cast<std::size_t>(ranks), 1))
+        << ranks << " ranks";
+  }
+}
+
+TEST_P(EngineTest, WorkerCountIsClampedToRanks) {
+  for (const int ranks : {1, 2, 5, 7}) {
+    const int workers = make_engine(GetParam(), ranks)->workers();
+    switch (GetParam()) {
+      case Workers::kSeq: EXPECT_EQ(workers, 1); break;
+      case Workers::kThread:
+        EXPECT_EQ(workers, std::min(hardware_workers(), ranks));
+        break;
+      case Workers::kTwo: EXPECT_EQ(workers, std::min(2, ranks)); break;
+      case Workers::kThree: EXPECT_EQ(workers, std::min(3, ranks)); break;
+    }
+  }
+}
+
+TEST_P(EngineTest, LowestThrowingRankSurfaces) {
+  // Rank 3 and rank 6 fail differently in the same phase. Whatever the
+  // worker count and schedule, the lowest-numbered thrower's exception is
+  // the one rethrown, and the engine stays usable afterwards.
+  auto engine = make_engine(GetParam(), 7);
+  for (int round = 0; round < 50; ++round) {
+    try {
+      engine->run_phase([](Comm& comm) {
+        if (comm.rank() == 3) throw ChecksumError("rank 3 checksum");
+        if (comm.rank() == 6) throw PeerDeadError(6, 0, "rank 6 peer dead");
+        comm.advance(1e-9);
+      });
+      FAIL() << "expected a throw";
+    } catch (const ChecksumError& e) {
+      EXPECT_STREQ(e.what(), "rank 3 checksum");
+    } catch (const std::exception& e) {
+      FAIL() << "round " << round << " surfaced \"" << e.what() << "\"";
+    }
+    std::atomic<int> ran{0};
+    engine->run_phase([&](Comm&) { ran.fetch_add(1); });
+    ASSERT_EQ(ran.load(), 7);
+  }
 }
 
 TEST_P(EngineTest, AdvanceAccumulatesClock) {
@@ -332,14 +392,24 @@ TEST_P(EngineTest, RejectsZeroRanks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EngineTest,
-                         ::testing::Values(Backend::kSeq, Backend::kThread),
-                         [](const auto& info) {
-                           return info.param == Backend::kSeq ? "Seq"
-                                                              : "Thread";
+                         ::testing::Values(Workers::kSeq, Workers::kThread,
+                                           Workers::kTwo, Workers::kThree),
+                         [](const auto& info) -> std::string {
+                           switch (info.param) {
+                             case Workers::kSeq: return "Seq";
+                             case Workers::kThread: return "Thread";
+                             case Workers::kTwo: return "W2";
+                             case Workers::kThree: return "W3";
+                           }
+                           return "?";
                          });
 
-// Cross-backend equivalence: the same SPMD program must produce identical
-// clocks and counters on both engines.
+TEST(EngineWorkers, RejectsZeroWorkers) {
+  EXPECT_THROW(Engine(4, MachineModel::t3e(), 0), std::invalid_argument);
+}
+
+// Cross-worker-count equivalence: the same SPMD program must produce
+// identical clocks and counters on every worker count.
 TEST(EngineEquivalence, ClocksIdenticalAcrossBackends) {
   auto program = [](Engine& engine) {
     engine.run_phase([](Comm& comm) {
@@ -357,14 +427,18 @@ TEST(EngineEquivalence, ClocksIdenticalAcrossBackends) {
     engine.run_phase([](Comm& comm) { comm.reduce_end(); });
   };
   SeqEngine seq(5);
-  ThreadEngine thread(5);
   program(seq);
-  program(thread);
-  for (int r = 0; r < 5; ++r) {
-    EXPECT_DOUBLE_EQ(seq.clock(r), thread.clock(r)) << "rank " << r;
-    EXPECT_DOUBLE_EQ(seq.counters(r).compute_seconds,
-                     thread.counters(r).compute_seconds);
-    EXPECT_EQ(seq.counters(r).messages_sent, thread.counters(r).messages_sent);
+  for (const Workers workers :
+       {Workers::kThread, Workers::kTwo, Workers::kThree}) {
+    auto other = make_engine(workers, 5);
+    program(*other);
+    for (int r = 0; r < 5; ++r) {
+      EXPECT_EQ(seq.clock(r), other->clock(r)) << "rank " << r;
+      EXPECT_EQ(seq.counters(r).compute_seconds,
+                other->counters(r).compute_seconds);
+      EXPECT_EQ(seq.counters(r).messages_sent,
+                other->counters(r).messages_sent);
+    }
   }
 }
 

@@ -54,10 +54,18 @@ TEST(Cli, Fallbacks) {
 }
 
 TEST(Cli, PositionalArguments) {
-  const Cli cli = make_cli({"input.txt", "--flag", "output.txt"});
+  // No program takes positional arguments, so a stray token is rejected
+  // by name instead of being silently ignored.
+  try {
+    make_cli({"input.txt", "--flag", "output.txt"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'input.txt'"), std::string::npos) << what;
+  }
+  EXPECT_THROW(make_cli({"--steps", "2", "junk"}), std::invalid_argument);
   // "--flag output.txt" consumes output.txt as the flag's value.
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "input.txt");
+  const Cli cli = make_cli({"--flag", "output.txt"});
   EXPECT_EQ(cli.get("flag", ""), "output.txt");
 }
 
