@@ -12,6 +12,7 @@
 //                           [--full-md]
 
 #include "run/run_spec.hpp"
+#include "run/trajectory.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
@@ -73,8 +74,15 @@ int run_main(const Cli& cli) {
   const int steps = static_cast<int>(cli.get_int("steps", 500));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const bool full_md = cli.get_bool("full-md", false);
-  const int md_steps = static_cast<int>(cli.get_int("md-steps", 4000));
+  // --full-md: one DLB-DDM run per density, m = 2, 9 PEs.
+  run::RunSpec md_spec;
+  md_spec.system.pe_count = 9;
+  md_spec.system.m = 2;
+  md_spec.system.seed = 11;
+  md_spec.steps = cli.get_int("md-steps", 4000);
+  md_spec.dlb_enabled = true;
   run::require_known_flags(cli, kUsage);
+  if (full_md) md_spec.validate();
 
   std::printf("== Figure 10: theoretical upper bounds vs experimental "
               "boundary points (%d virtual PEs) ==\n\n",
@@ -93,16 +101,10 @@ int run_main(const Cli& cli) {
     std::puts("== full-MD validation (one run per density, m = 2, 9 PEs) ==");
     Table table({"rho*", "boundary step", "n", "C0/C", "E/T"});
     for (const double density : {0.128, 0.256, 0.384, 0.512}) {
-      theory::MdTrajectoryConfig config;
-      config.spec.pe_count = 9;
-      config.spec.m = 2;
-      config.spec.density = density;
-      config.spec.seed = 11;
-      config.steps = md_steps;
-      config.dlb_enabled = true;
-      const auto run = run_md_trajectory(config);
+      const auto run =
+          run::run_trajectory(run::RunSpec(md_spec).with_density(density));
       const auto point = theory::extract_boundary_point(
-          run.f_max, run.f_min, run.f_avg, run.concentration, config.spec.m);
+          run.rows, run.concentration, md_spec.system.m);
       if (point.found) {
         table.add_row({Table::num(density, 3), std::to_string(point.step),
                        Table::num(point.n, 3), Table::num(point.c0_ratio, 4),

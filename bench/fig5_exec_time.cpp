@@ -26,17 +26,14 @@
 // retry counters land in the metrics CSV. --checkpoint-every N serializes a
 // full checkpoint every N steps and reports its size.
 
-#include "obs/chrome_trace.hpp"
-#include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "run/run_spec.hpp"
-#include "theory/effective_range.hpp"
+#include "run/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
 #include <cstdio>
 #include <iostream>
-#include <optional>
 
 using namespace pcmd;
 
@@ -47,56 +44,34 @@ struct CaseResult {
   std::vector<obs::StepMetrics> dlb;
 };
 
-void export_run(const std::string& base, obs::TraceCollector& collector,
-                std::span<const obs::StepMetrics> rows) {
-  if (!obs::write_chrome_trace_file(base + ".json", collector)) {
-    std::fprintf(stderr, "trace: failed to write %s.json\n", base.c_str());
-  }
-  if (!obs::write_csv_file(base + ".csv", rows)) {
-    std::fprintf(stderr, "trace: failed to write %s.csv\n", base.c_str());
-  }
-  collector.clear();
-}
-
 // Runs the case's DDM and DLB-DDM trajectories. `suffix` distinguishes the
 // per-case trace sinks (PATH.m4.ddm.json, ...).
 CaseResult run_case(const run::RunSpec& spec, const std::string& suffix) {
-  auto config = spec.trajectory_config();
-
-  obs::TraceCollector collector;
-  if (spec.trace_path) config.trace = &collector;
-  const auto trace_base =
-      spec.trace_path ? std::optional(*spec.trace_path + suffix)
-                      : std::nullopt;
-
-  auto report_ft = [&](const char* label,
-                       const theory::MdTrajectoryResult& run) {
-    if (!config.faults.empty()) {
+  const auto run_one = [&](const char* label, bool dlb) {
+    run::RunSpec one = run::RunSpec(spec).with_dlb(dlb);
+    if (spec.trace_path) {
+      one.with_trace(*spec.trace_path + suffix + "." + label);
+    }
+    auto run = run::run_trajectory(one);
+    if (!spec.fault_plan().empty()) {
+      std::uint64_t retransmissions = 0, recv_timeouts = 0;
+      for (const auto& row : run.rows) {
+        retransmissions += row.retransmissions;
+        recv_timeouts += row.recv_timeouts;
+      }
       std::printf("  [%s] retransmissions %llu, recv timeouts %llu\n", label,
-                  static_cast<unsigned long long>(run.retransmissions_total),
-                  static_cast<unsigned long long>(run.recv_timeouts_total));
+                  static_cast<unsigned long long>(retransmissions),
+                  static_cast<unsigned long long>(recv_timeouts));
     }
     if (spec.checkpoint_every > 0) {
       std::printf("  [%s] %d checkpoints, last %zu bytes\n", label,
                   run.checkpoints_taken, run.last_checkpoint.size());
     }
+    return std::move(run.rows);
   };
-
   CaseResult result;
-  config.dlb_enabled = false;
-  {
-    const auto run = run_md_trajectory(config);
-    result.ddm = run.metrics;
-    report_ft("ddm", run);
-  }
-  if (trace_base) export_run(*trace_base + ".ddm", collector, result.ddm);
-  config.dlb_enabled = true;
-  {
-    const auto run = run_md_trajectory(config);
-    result.dlb = run.metrics;
-    report_ft("dlb", run);
-  }
-  if (trace_base) export_run(*trace_base + ".dlb", collector, result.dlb);
+  result.ddm = run_one("ddm", false);
+  result.dlb = run_one("dlb", true);
   return result;
 }
 
@@ -135,6 +110,10 @@ constexpr run::Usage kUsage{
     .run_flags = true};
 
 int run_main(const Cli& cli) {
+  if (cli.has("m")) {
+    throw run::SpecError("--m: fig5_exec_time runs its two panels at m = 4 "
+                         "and m = 2 and takes no --m");
+  }
   const bool full = cli.get_bool("full", false);
   run::RunSpec defaults;
   defaults.system.pe_count = full ? 36 : 9;
@@ -145,6 +124,7 @@ int run_main(const Cli& cli) {
   const int steps = static_cast<int>(base.steps);
   const int interval =
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 12)));
+  if (interval < 1) throw run::SpecError("--interval: must be >= 1");
   run::require_known_flags(cli, kUsage);
 
   std::printf("== Figure 5: time per step, DDM vs DLB-DDM (%d virtual PEs, "

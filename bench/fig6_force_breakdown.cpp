@@ -23,11 +23,9 @@
 // same rows --trace writes as PATH.ddm.csv / PATH.dlb.csv; the Chrome
 // trace-event JSONs next to them open in Perfetto.
 
-#include "obs/chrome_trace.hpp"
-#include "obs/collector.hpp"
 #include "obs/metrics.hpp"
 #include "run/run_spec.hpp"
-#include "theory/effective_range.hpp"
+#include "run/trajectory.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -65,17 +63,6 @@ void print_breakdown(const char* title,
   std::printf("\n");
 }
 
-void export_run(const std::string& base, obs::TraceCollector& collector,
-                std::span<const obs::StepMetrics> rows) {
-  if (!obs::write_chrome_trace_file(base + ".json", collector)) {
-    std::fprintf(stderr, "trace: failed to write %s.json\n", base.c_str());
-  }
-  if (!obs::write_csv_file(base + ".csv", rows)) {
-    std::fprintf(stderr, "trace: failed to write %s.csv\n", base.c_str());
-  }
-  collector.clear();
-}
-
 }  // namespace
 
 namespace {
@@ -97,38 +84,37 @@ int run_main(const Cli& cli) {
   const int steps = static_cast<int>(spec.steps);
   const int interval =
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 12)));
+  if (interval < 1) throw run::SpecError("--interval: must be >= 1");
   run::require_known_flags(cli, kUsage);
-
-  auto config = spec.trajectory_config();
-  const auto& trace = spec.trace_path;
-
-  obs::TraceCollector collector;
-  if (trace) config.trace = &collector;
 
   std::printf("== Figure 6: Tt and Fmax/Fave/Fmin, m = 4, %d virtual PEs "
               "(T3E cost model) ==\n\n",
-              config.spec.pe_count);
+              spec.system.pe_count);
 
-  config.dlb_enabled = false;
-  const auto ddm = run_md_trajectory(config);
+  const auto run_one = [&](const char* label, bool dlb) {
+    run::RunSpec one = run::RunSpec(spec).with_dlb(dlb);
+    if (spec.trace_path) one.with_trace(*spec.trace_path + "." + label);
+    return run::run_trajectory(one);
+  };
+  const auto ddm = run_one("ddm", false);
   print_breakdown("(a) DDM — the Fmax/Fmin gap widens with condensation",
-                  ddm.metrics, interval);
-  if (trace) export_run(*trace + ".ddm", collector, ddm.metrics);
-
-  config.dlb_enabled = true;
-  const auto dlb = run_md_trajectory(config);
+                  ddm.rows, interval);
+  const auto dlb = run_one("dlb", true);
   print_breakdown("(b) DLB-DDM — the gap stays small inside the DLB limit",
-                  dlb.metrics, interval);
-  if (trace) export_run(*trace + ".dlb", collector, dlb.metrics);
+                  dlb.rows, interval);
 
-  if (!config.faults.empty()) {
+  if (!spec.fault_plan().empty()) {
+    const auto retransmissions = [](const run::TrajectoryResult& run) {
+      unsigned long long sum = 0;
+      for (const auto& row : run.rows) sum += row.retransmissions;
+      return sum;
+    };
     std::printf("fault tolerance: DDM %llu retransmissions, DLB-DDM %llu "
                 "retransmissions (all masked; energies identical to a "
                 "fault-free run)\n",
-                static_cast<unsigned long long>(ddm.retransmissions_total),
-                static_cast<unsigned long long>(dlb.retransmissions_total));
+                retransmissions(ddm), retransmissions(dlb));
   }
-  if (config.checkpoint_every > 0) {
+  if (spec.checkpoint_every > 0) {
     std::printf("checkpoints: %d taken per run, last %zu bytes\n",
                 dlb.checkpoints_taken, dlb.last_checkpoint.size());
   }

@@ -10,6 +10,7 @@
 //                     [--m 3] [--seed 2] [--full]
 
 #include "run/run_spec.hpp"
+#include "run/trajectory.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
 #include "util/cli.hpp"
@@ -29,24 +30,26 @@ constexpr run::Usage kUsage{
 
 int run_main(const Cli& cli) {
   const bool full = cli.get_bool("full", false);
-  const int steps = static_cast<int>(cli.get_int("steps", full ? 8000 : 2500));
+  run::RunSpec spec;
+  spec.system.pe_count = full ? 36 : 9;
+  spec.system.m = run::int_flag(cli, "m", 3);
+  spec.system.density = cli.get_double("density", 0.384);
+  spec.system.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2));
+  spec.steps = cli.get_int("steps", full ? 8000 : 2500);
+  spec.dlb_enabled = true;
+  const int steps = static_cast<int>(spec.steps);
   const int interval =
       static_cast<int>(cli.get_int("interval", std::max(1, steps / 15)));
-
-  theory::MdTrajectoryConfig config;
-  config.spec.pe_count = full ? 36 : 9;
-  config.spec.m = static_cast<int>(cli.get_int("m", 3));
-  config.spec.density = cli.get_double("density", 0.384);
-  config.spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2));
-  config.steps = steps;
-  config.dlb_enabled = true;
+  if (interval < 1) throw run::SpecError("--interval: must be >= 1");
   run::require_known_flags(cli, kUsage);
+  spec.validate();
+  const int m = spec.system.m;
 
   std::printf("== Figure 9: (n, C0/C) trajectory of one DLB-DDM run "
               "(%d PEs, m=%d, rho*=%.3f) ==\n\n",
-              config.spec.pe_count, config.spec.m, config.spec.density);
+              spec.system.pe_count, m, spec.system.density);
 
-  const auto result = run_md_trajectory(config);
+  const auto result = run::run_trajectory(spec);
 
   Table table({"step", "n", "C0/C", "f(m,n) bound", "(Fmax-Fmin)/Fave"});
   for (int hi = interval; hi <= steps; hi += interval) {
@@ -54,8 +57,9 @@ int run_main(const Cli& cli) {
     for (int i = hi - interval; i < hi; ++i) {
       n += result.concentration[i].n;
       c0c += result.concentration[i].c0_ratio;
-      spread += result.f_avg[i] > 0
-                    ? (result.f_max[i] - result.f_min[i]) / result.f_avg[i]
+      const auto& row = result.rows[i];
+      spread += row.force_avg > 0
+                    ? (row.force_max - row.force_min) / row.force_avg
                     : 0.0;
     }
     const double inv = 1.0 / interval;
@@ -63,19 +67,18 @@ int run_main(const Cli& cli) {
     c0c *= inv;
     spread *= inv;
     table.add_row({std::to_string(hi), Table::num(n, 4), Table::num(c0c, 4),
-                   Table::num(theory::upper_bound(config.spec.m, n), 4),
+                   Table::num(theory::upper_bound(m, n), 4),
                    Table::num(spread, 3)});
   }
   table.print(std::cout);
 
-  const auto point = theory::extract_boundary_point(
-      result.f_max, result.f_min, result.f_avg, result.concentration,
-      config.spec.m);
+  const auto point =
+      theory::extract_boundary_point(result.rows, result.concentration, m);
   if (point.found) {
     std::printf("\nexperimental boundary point: step %lld, n = %.3f, "
                 "C0/C = %.4f (theory bound f(m,n) = %.4f, E/T = %.2f)\n",
                 static_cast<long long>(point.step), point.n, point.c0_ratio,
-                theory::upper_bound(config.spec.m, point.n),
+                theory::upper_bound(m, point.n),
                 point.ratio_to_theory);
   } else {
     std::puts("\nno boundary point inside this run: the trajectory stayed "

@@ -20,7 +20,9 @@
 // --check compares the fresh measurement against a committed baseline and
 // exits non-zero when any throughput metric drops more than --tolerance
 // (relative), or the fig5 wall time grows by more than it — the CI perf job
-// runs exactly this against the BENCH_perf.json in the repository root.
+// runs exactly this against the BENCH_perf.json in the repository root,
+// with a separate --out: a --check naming the --out file exits 2 before
+// anything is measured.
 // That file also carries keys owned by other gates (serve_gate's
 // serve_jobs_per_sec); only the four keys above are checked here, and
 // --merge 1 preserves the others when regenerating the baseline.
@@ -135,6 +137,7 @@ int run_main(const Cli& cli) {
   const double tolerance = cli.get_double("tolerance", 0.15);
   const bool merge = cli.get_bool("merge", false);
   run::require_known_flags(cli, kUsage);
+  bench::require_distinct_check(out_path, check_path);
 
   const std::int64_t serial_n = 4000;
   const std::int64_t serial_steps = 25;

@@ -18,8 +18,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -80,6 +82,27 @@ inline Scoreboard read_scoreboard(const std::string& path) {
   skip_ws();
   if (pos != text.size()) bad("trailing bytes");
   return board;
+}
+
+// A gate writes its fresh board to --out before it reads --check, so a
+// --check naming the --out file would compare the fresh numbers with
+// themselves (and overwrite the baseline). Throws std::invalid_argument —
+// exit 2 under run::guarded_main — before anything is measured.
+inline void require_distinct_check(const std::string& out_path,
+                                   const std::optional<std::string>& check) {
+  if (!check) return;
+  namespace fs = std::filesystem;
+  std::error_code out_ec, check_ec;
+  const fs::path out = fs::weakly_canonical(out_path, out_ec);
+  const fs::path baseline = fs::weakly_canonical(*check, check_ec);
+  const bool same = (!out_ec && !check_ec && out == baseline) ||
+                    fs::equivalent(out_path, *check, out_ec);
+  if (same) {
+    throw std::invalid_argument(
+        "--check " + *check + " is the --out file " + out_path +
+        ": the fresh scoreboard would overwrite the baseline before the "
+        "check reads it (pass a separate --out)");
+  }
 }
 
 // With merge=true, keys already in `path` that `board` does not own are

@@ -24,6 +24,7 @@
 // --check compares against the committed BENCH_perf.json, which this gate
 // shares with perf_gate; only serve_jobs_per_sec is owned (and checked)
 // here. Regenerate the shared baseline with --out BENCH_perf.json --merge 1.
+// A --check naming the --out file exits 2 before anything is measured.
 
 #include "scoreboard.hpp"
 
@@ -81,6 +82,7 @@ int run_main(const Cli& cli) {
   const auto check_path = cli.get_optional("check");
   const double tolerance = cli.get_double("tolerance", 0.15);
   run::require_known_flags(cli, kUsage);
+  bench::require_distinct_check(out_path, check_path);
 
   std::vector<std::string> specs;
   specs.reserve(jobs);

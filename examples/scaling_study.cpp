@@ -12,8 +12,9 @@
 //                   [--buddy-every 10] [--spares 1]
 //                   [--degrade rank=4,at=0.05] [--degrade-factor 6]
 //
-// --trace PATH writes one Chrome trace-event JSON (PATH.p9.json, PATH.p16.json,
-// ... — open in Perfetto) and one per-step metrics CSV per PE-grid size.
+// --trace PATH writes, per PE-grid size, a Chrome trace-event JSON
+// (PATH.p9.json, PATH.p16.json, ... — open in Perfetto) and the per-step
+// metrics CSV (PATH.p9.csv, PATH.p16.csv, ...).
 //
 // --faults PLAN injects deterministic message faults into the sweep and
 // routes all traffic through the reliable channel (physics unchanged).
@@ -32,18 +33,15 @@
 
 #include "ddm/comm_volume.hpp"
 #include "ddm/parallel_md.hpp"
-#include "obs/metrics.hpp"
-#include "obs/session.hpp"
 #include "run/run_spec.hpp"
+#include "run/trajectory.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/paper_system.hpp"
 
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 
 namespace {
@@ -155,91 +153,45 @@ int run_main(const pcmd::Cli& cli) {
     base.steps = std::max<std::int64_t>(base.steps, 300);
     return run_degrade_mode(base);
   }
-  const sim::FaultPlan& faults = base.faults;
-  std::optional<sim::FaultInjector> injector;
-  if (!faults.empty()) injector.emplace(faults);
-  const int checkpoint_every = base.checkpoint_every;
   const std::int64_t steps = base.steps;
 
   std::puts("== weak scaling: fixed density, growing PE grid ==");
   Table scaling({"PEs", "N", "cells", "time/step [s]", "efficiency",
                  "msgs/step/PE"});
   for (const int side : {3, 4, 5, 6}) {
-    run::RunSpec case_spec = base;
-    case_spec.system.pe_count = side * side;
-    const workload::PaperSystemSpec& spec = case_spec.system;
-    Rng rng(spec.seed);
-    const auto initial = workload::make_paper_system(spec, rng);
-
-    ddm::ParallelMdConfig config = case_spec.parallel_config();
-    sim::SeqEngine engine(ddm::engine_rank_count(config));
-    if (injector) engine.set_fault_injector(&*injector);
-    obs::TraceSession session(
-        engine, case_spec.trace_path ? *case_spec.trace_path + ".p" +
-                                           std::to_string(spec.pe_count) +
-                                           ".json"
-                                     : "");
-    config.trace = session.collector();
-    ddm::ParallelMd md(ddm::EngineConfig{.engine = &engine, .box = spec.box(),
-                                         .initial = &initial},
-                       config);
-    obs::MetricsRecorder recorder(engine);
-
-    sim::Buffer last_checkpoint;
-    int checkpoints_taken = 0;
-    const double before = engine.makespan();
-    for (std::int64_t i = 0; i < steps; ++i) {
-      const auto stats = md.step();
-      obs::MetricsRecorder::StepInput input;
-      input.step = stats.step;
-      input.t_step = stats.t_step;
-      input.force_max = stats.force_max;
-      input.force_avg = stats.force_avg;
-      input.force_min = stats.force_min;
-      input.transfers = stats.transfers;
-      input.potential_energy = stats.potential_energy;
-      input.kinetic_energy = stats.kinetic_energy;
-      input.temperature = stats.temperature;
-      input.retransmissions = stats.retransmissions;
-      input.checkpoint_bytes = stats.checkpoint_bytes;
-      input.rollbacks = stats.rollbacks;
-      input.failovers = stats.failovers;
-      input.particles_recovered = stats.particles_recovered;
-      recorder.record(input);
-      if (checkpoint_every > 0 && (i + 1) % checkpoint_every == 0) {
-        last_checkpoint = md.checkpoint();
-        ++checkpoints_taken;
-      }
+    const int pe = side * side;
+    run::RunSpec spec = run::RunSpec(base).with_pe_count(pe);
+    if (base.trace_path) {
+      spec.with_trace(*base.trace_path + ".p" + std::to_string(pe));
     }
-    session.finish(recorder.rows());
-    if (checkpoints_taken > 0) {
-      std::printf("p%d: %d checkpoints, last %zu bytes\n", spec.pe_count,
-                  checkpoints_taken, last_checkpoint.size());
+    const auto run = run::run_trajectory(spec);
+    if (run.checkpoints_taken > 0) {
+      std::printf("p%d: %d checkpoints, last %zu bytes\n", pe,
+                  run.checkpoints_taken, run.last_checkpoint.size());
     }
     if (base.healing_enabled()) {
-      const auto& rc = md.recovery_counters();
+      const auto& rc = run.recovery;
       std::printf("RECOVERY-COUNTERS p%d: checkpoint_bytes=%llu "
                   "generations=%llu rollbacks=%llu failovers=%llu "
                   "roles_retired=%llu declared_dead=%llu "
                   "particles_recovered=%llu epoch=%d\n",
-                  spec.pe_count,
-                  static_cast<unsigned long long>(rc.checkpoint_bytes),
+                  pe, static_cast<unsigned long long>(rc.checkpoint_bytes),
                   static_cast<unsigned long long>(rc.generations),
                   static_cast<unsigned long long>(rc.rollbacks),
                   static_cast<unsigned long long>(rc.failovers),
                   static_cast<unsigned long long>(rc.roles_retired),
                   static_cast<unsigned long long>(rc.declared_dead),
                   static_cast<unsigned long long>(rc.particles_recovered),
-                  md.membership().epoch());
+                  run.membership_epoch);
     }
-    const double per_step = (engine.makespan() - before) / steps;
-    const auto report = sim::machine_report(engine);
+    const double per_step =
+        (run.machine.makespan - run.init_makespan) / steps;
     scaling.add_row(
-        {std::to_string(spec.pe_count), std::to_string(initial.size()),
-         std::to_string(spec.total_cells()), Table::num(per_step, 4),
-         Table::num(report.efficiency(), 3),
-         Table::num(static_cast<double>(report.total_messages) /
-                        (steps * spec.pe_count),
+        {std::to_string(pe), std::to_string(run.particles),
+         std::to_string(spec.system.total_cells()), Table::num(per_step, 4),
+         Table::num(run.machine.efficiency(), 3),
+         Table::num(static_cast<double>(run.machine.total_messages) /
+                        (steps * pe),
                     3)});
   }
   scaling.print(std::cout);

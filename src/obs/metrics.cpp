@@ -31,29 +31,12 @@ MetricsRecorder::Snapshot MetricsRecorder::total() const {
   return snapshot;
 }
 
-const StepMetrics& MetricsRecorder::record(const StepInput& input) {
+const StepMetrics& MetricsRecorder::record(StepMetrics row) {
   const Snapshot now = total();
-  StepMetrics row;
-  row.step = input.step;
-  row.t_step = input.t_step;
-  row.force_max = input.force_max;
-  row.force_avg = input.force_avg;
-  row.force_min = input.force_min;
   row.wait_seconds = now.wait - last_.wait;
   row.collective_seconds = now.collective - last_.collective;
   row.messages = now.messages - last_.messages;
   row.bytes = now.bytes - last_.bytes;
-  row.transfers = input.transfers;
-  row.potential_energy = input.potential_energy;
-  row.kinetic_energy = input.kinetic_energy;
-  row.temperature = input.temperature;
-  row.retransmissions = input.retransmissions;
-  row.checkpoint_bytes = input.checkpoint_bytes;
-  row.rollbacks = input.rollbacks;
-  row.failovers = input.failovers;
-  row.particles_recovered = input.particles_recovered;
-  row.imbalance = input.imbalance;
-  row.cells_moved = input.cells_moved;
   row.recv_timeouts = now.recv_timeouts - last_.recv_timeouts;
   row.faults_dropped = now.faults_dropped - last_.faults_dropped;
   row.faults_corrupted = now.faults_corrupted - last_.faults_corrupted;

@@ -8,9 +8,9 @@
 // a CSV exporter with a fixed schema that downstream plotting scripts (and
 // the schema unit test) can rely on.
 //
-// The recorder takes scalar inputs rather than ddm::ParallelStepStats so
-// pcmd_obs depends only on pcmd_sim; theory::run_md_trajectory does the
-// field mapping.
+// The recorder takes a StepMetrics row rather than ddm::ParallelStepStats so
+// pcmd_obs depends only on pcmd_sim; run::run_trajectory does the field
+// mapping.
 #pragma once
 
 #include <cstdint>
@@ -58,37 +58,15 @@ struct StepMetrics {
 
 class MetricsRecorder {
  public:
-  // Reduced per-step values, filled by the caller from its step stats.
-  struct StepInput {
-    std::int64_t step = 0;
-    double t_step = 0.0;
-    double force_max = 0.0;
-    double force_avg = 0.0;
-    double force_min = 0.0;
-    int transfers = 0;
-    double potential_energy = 0.0;
-    double kinetic_energy = 0.0;
-    double temperature = 0.0;
-    // Per-step reliable-channel retries; the channels live in the MD engine,
-    // so the caller forwards them (e.g. ParallelStepStats::retransmissions).
-    std::uint64_t retransmissions = 0;
-    // Self-healing deltas, forwarded from ParallelStepStats likewise.
-    std::uint64_t checkpoint_bytes = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t failovers = 0;
-    std::uint64_t particles_recovered = 0;
-    // Balancer quality, forwarded from ParallelStepStats likewise.
-    double imbalance = 0.0;
-    int cells_moved = 0;
-  };
-
   // Snapshots the engine's counters as the step-0 baseline; the engine must
   // outlive the recorder.
   explicit MetricsRecorder(const sim::Engine& engine);
 
-  // Appends one row: `input` verbatim plus counter deltas since the last
-  // record()/construction. Call once per step, between phases.
-  const StepMetrics& record(const StepInput& input);
+  // Appends `row` with its engine fields (wait_seconds, collective_seconds,
+  // messages, bytes, recv_timeouts, faults_*) overwritten by the counter
+  // deltas since the last record()/construction; every other field is the
+  // caller's. Call once per step, between phases.
+  const StepMetrics& record(StepMetrics row);
 
   const std::vector<StepMetrics>& rows() const { return rows_; }
 

@@ -24,8 +24,8 @@ bool TraceSession::finish(std::span<const StepMetrics> metrics) {
   if (!active() || finished_) return true;
   finished_ = true;
   bool ok = true;
-  if (!write_chrome_trace_file(path_, collector_)) {
-    std::fprintf(stderr, "trace: failed to write %s\n", path_.c_str());
+  if (!write_chrome_trace_file(path_ + ".json", collector_)) {
+    std::fprintf(stderr, "trace: failed to write %s.json\n", path_.c_str());
     ok = false;
   }
   if (!metrics.empty() && !write_csv_file(path_ + ".csv", metrics)) {

@@ -1,14 +1,14 @@
-// TraceSession: the `--trace <path>` glue used by benches and examples.
+// TraceSession: the `--trace PATH` glue of run::run_trajectory.
 //
-//   obs::TraceSession session(engine, cli.get("trace", ""));
+//   obs::TraceSession session(engine, spec.trace_path.value_or(""));
 //   ... run the simulation, passing session.collector() to the engines ...
 //   session.finish(recorder.rows());
 //
 // With an empty path the session is inert: nothing attaches, nothing is
 // written, and collector() is nullptr — callers pass that straight into
 // ParallelMdConfig::trace. With a path, finish() (or the destructor, if
-// finish was never called) writes `<path>` as Chrome trace-event JSON and
-// `<path>.csv` with the per-step metrics handed to finish().
+// finish was never called) writes `PATH.json` as Chrome trace-event JSON
+// and `PATH.csv` with the per-step metrics handed to finish().
 #pragma once
 
 #include "obs/collector.hpp"
@@ -37,8 +37,8 @@ class TraceSession {
   // nullptr when inactive — safe to hand to instrumented engines directly.
   TraceCollector* collector() { return active() ? &collector_ : nullptr; }
 
-  // Writes `<path>` (Chrome JSON) and, when `metrics` is non-empty,
-  // `<path>.csv`. Returns false if any file failed to write (also reported
+  // Writes `PATH.json` (Chrome JSON) and, when `metrics` is non-empty,
+  // `PATH.csv`. Returns false if any file failed to write (also reported
   // on stderr). No-op when inactive or already finished.
   bool finish(std::span<const StepMetrics> metrics = {});
 

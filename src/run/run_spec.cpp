@@ -1,9 +1,11 @@
 #include "run/run_spec.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 
 namespace pcmd::run {
@@ -35,7 +37,11 @@ DegradeSpec DegradeSpec::parse(const std::string& text, double factor) {
     char* end = nullptr;
     if (key == "rank" && !have_rank) {
       const long v = std::strtol(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE) bad(token);
+      if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+          v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max()) {
+        bad(token);
+      }
       spec.rank = static_cast<int>(v);
       have_rank = true;
     } else if (key == "at" && !have_at) {
@@ -133,22 +139,78 @@ sim::FaultPlan RunSpec::fault_plan() const {
   return plan;
 }
 
-theory::MdTrajectoryConfig RunSpec::trajectory_config() const {
-  theory::MdTrajectoryConfig config;
-  config.spec = system;
-  config.steps = static_cast<int>(steps);
+ddm::ParallelMdConfig RunSpec::parallel_config() const {
+  ddm::ParallelMdConfig config;
+  config.pe_side = system.pe_side();
+  config.m = system.m;
+  config.cutoff = system.cutoff;
+  config.dt = system.dt;
+  config.rescale_temperature = system.temperature;
+  config.rescale_interval = system.rescale_interval;
   config.dlb_enabled = dlb_enabled;
   config.dlb = dlb;
   config.balancer = balancer;
-  config.machine = machine;
-  config.faults = fault_plan();
   config.fault_tolerance = fault_tolerance;
-  config.checkpoint_every = checkpoint_every;
   return config;
 }
 
-ddm::ParallelMdConfig RunSpec::parallel_config() const {
-  return trajectory_config().parallel_config();
+void RunSpec::validate() const {
+  const auto reject = [](const std::string& what) { throw SpecError(what); };
+  if (steps < 1) {
+    reject("--steps: " + std::to_string(steps) +
+           " (a run takes at least one step)");
+  }
+  if (system.m < 2) {
+    reject("--m: " + std::to_string(system.m) +
+           " (m must be >= 2, else no cell is movable)");
+  }
+  if (system.pe_count < 1) {
+    reject("--pe: " + std::to_string(system.pe_count) +
+           " (a positive perfect square)");
+  }
+  if (fault_tolerance.healing.spares > system.pe_count) {
+    reject("--spares: " + std::to_string(fault_tolerance.healing.spares) +
+           " is more than the " + std::to_string(system.pe_count) +
+           " PEs it stands in for");
+  }
+  try {
+    // Budgets in floating point, so an absurd m or density cannot overflow
+    // the integer sizes before it is rejected.
+    const double k = static_cast<double>(system.m) * system.pe_side();
+    const double cells = k * k * k;
+    const double particles = system.density * std::pow(k * system.cutoff, 3);
+    char what[160];
+    if (cells > static_cast<double>(kMaxCells)) {
+      std::snprintf(what, sizeof(what),
+                    "--m: %d on %d PEs gives %.3g cells (budget %lld)",
+                    system.m, system.pe_count, cells,
+                    static_cast<long long>(kMaxCells));
+      reject(what);
+    }
+    if (!(particles <= static_cast<double>(kMaxParticles))) {
+      std::snprintf(what, sizeof(what),
+                    "--density: %g gives %.3g particles on %d PEs at m = %d "
+                    "(budget %lld)",
+                    system.density, particles, system.pe_count, system.m,
+                    static_cast<long long>(kMaxParticles));
+      reject(what);
+    }
+    system.validate();
+  } catch (const SpecError&) {
+    throw;
+  } catch (const std::invalid_argument& e) {
+    reject(e.what());
+  }
+}
+
+int int_flag(const Cli& cli, const std::string& flag, int fallback) {
+  const std::int64_t value = cli.get_int(flag, fallback);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw SpecError("--" + flag + ": " + std::to_string(value) +
+                    " is out of range");
+  }
+  return static_cast<int>(value);
 }
 
 RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
@@ -160,7 +222,7 @@ RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
     RunSpec spec = std::move(defaults);
     spec.steps = cli.get_int("steps", spec.steps);
     spec.system.density = cli.get_double("density", spec.system.density);
-    spec.system.m = static_cast<int>(cli.get_int("m", spec.system.m));
+    spec.system.m = int_flag(cli, "m", spec.system.m);
     spec.system.seed = static_cast<std::uint64_t>(
         cli.get_int("seed", static_cast<std::int64_t>(spec.system.seed)));
     spec.dlb_enabled = cli.get_bool("dlb", spec.dlb_enabled);
@@ -180,15 +242,15 @@ RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
       }
       if (!spec.faults.empty()) spec.fault_tolerance.reliable = true;
     }
-    spec.checkpoint_every = static_cast<int>(
-        cli.get_int("checkpoint-every", spec.checkpoint_every));
+    spec.checkpoint_every =
+        int_flag(cli, "checkpoint-every", spec.checkpoint_every);
     const auto count = [&cli](const char* flag) {
-      const std::int64_t value = cli.get_int(flag, 0);
+      const int value = int_flag(cli, flag, 0);
       if (value < 0) {
         throw SpecError(std::string("--") + flag + ": " +
                         std::to_string(value) + " is negative (a count)");
       }
-      return static_cast<int>(value);
+      return value;
     };
     const int buddy_every = count("buddy-every");
     const int spares = count("spares");
@@ -205,6 +267,7 @@ RunSpec parse_run_spec(const Cli& cli, RunSpec defaults) {
     if (const auto degrade = cli.get_optional("degrade")) {
       spec.degrade = DegradeSpec::parse(*degrade, degrade_factor);
     }
+    spec.validate();
     return spec;
   } catch (const SpecError&) {
     throw;
@@ -240,6 +303,12 @@ int guarded_main(int argc, char** argv, const Usage& usage,
   try {
     const Cli cli(argc, argv);
     if (cli.has("help")) {
+      // Cli reads "--help junk" as help = "junk": a stray token like any
+      // other, not a request for the usage.
+      if (const std::string value = cli.get("help", ""); value != "true") {
+        throw std::invalid_argument("unexpected argument '" + value +
+                                    "' after --help (it takes no value)");
+      }
       print_usage(stdout, usage);
       return 0;
     }

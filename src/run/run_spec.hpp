@@ -6,9 +6,8 @@
 // struct describes a paper-system run — workload, PE count, steps, DLB
 // policy, fault plan, trace sink, checkpoint cadence — with a chainable
 // builder for programmatic use, a strict shared CLI parser for the
-// harnesses, and bridges to the layer-specific configs
-// (theory::MdTrajectoryConfig, ddm::ParallelMdConfig) that actually drive a
-// run.
+// harnesses, and the bridge to ddm::ParallelMdConfig. run::run_trajectory
+// (run/trajectory.hpp) is the one loop that runs it.
 //
 // The parser is strict in the repo's house style: malformed values throw
 // std::invalid_argument naming the flag, the offending token and the
@@ -22,7 +21,6 @@
 #include "ddm/parallel_md.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fault.hpp"
-#include "theory/effective_range.hpp"
 #include "util/cli.hpp"
 #include "workload/paper_system.hpp"
 
@@ -98,14 +96,24 @@ struct RunSpec {
   // (when one is set). This is what should reach the FaultInjector.
   sim::FaultPlan fault_plan() const;
 
-  // Bridge to the theory-layer trajectory driver (Fig. 5/6/9 runs). The
-  // trace collector is attached by the caller (it owns the sink lifetime).
-  theory::MdTrajectoryConfig trajectory_config() const;
-
-  // Bridge for harnesses driving ParallelMd directly. Trace collector and
-  // checkpoint cadence stay with the caller.
+  // The ParallelMd configuration of this run. Trace collector and
+  // checkpoint cadence stay with the caller (run_trajectory, or a harness
+  // driving ParallelMd directly).
   ddm::ParallelMdConfig parallel_config() const;
+
+  // Throws SpecError naming the flag when the run cannot start: steps < 1,
+  // m < 2, a P that is not a positive square, more spares than PEs,
+  // non-positive physics, or a system over kMaxCells cells or kMaxParticles
+  // particles. Checked before
+  // anything is sized from the spec; parse_run_spec calls it.
+  void validate() const;
 };
+
+// The size budget validate() enforces. It admits the P = 4096, m = 2,
+// rho* = 0.256 system (2.1M cells, about 8.4M particles) and rejects a
+// mistyped --density or --m before it reaches an allocation.
+inline constexpr std::int64_t kMaxCells = std::int64_t{1} << 24;
+inline constexpr std::int64_t kMaxParticles = std::int64_t{1} << 24;
 
 // Applies the shared flag surface on top of `defaults` and returns the
 // resulting spec:
@@ -119,8 +127,12 @@ struct RunSpec {
 //   --trace PATH
 //
 // A non-empty fault plan switches fault_tolerance.reliable on, matching
-// what every harness did by hand before.
+// what every harness did by hand before. The result has passed validate().
 RunSpec parse_run_spec(const Cli& cli, RunSpec defaults = {});
+
+// cli.get_int for an int-typed field: a value outside int's range is a
+// SpecError naming the flag rather than a silently truncated run.
+int int_flag(const Cli& cli, const std::string& flag, int fallback);
 
 // The shared flags parse_run_spec reads, as one line for usage and errors.
 extern const char* const kRunFlagsGrammar;

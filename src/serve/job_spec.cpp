@@ -59,7 +59,8 @@ JobSpec parse_tokens(const std::vector<std::string>& tokens) {
     const Cli cli(static_cast<int>(argv.size()), argv.data());
     JobSpec job;
     job.run.system.pe_count =
-        static_cast<int>(cli.get_int("pe", job.run.system.pe_count));
+        run::int_flag(cli, "pe", job.run.system.pe_count);
+    // parse_run_spec validates the run, --pe included (RunSpec::validate).
     job.run = run::parse_run_spec(cli, std::move(job.run));
     if (const auto priority = cli.get_optional("priority")) {
       job.priority = parse_priority(*priority);
@@ -78,11 +79,6 @@ JobSpec parse_tokens(const std::vector<std::string>& tokens) {
       throw run::SpecError("--deadline: " + format_double(job.deadline) +
                            " is negative (virtual seconds; 0 disables)");
     }
-    if (job.run.steps < 1) {
-      throw run::SpecError("--steps: " + std::to_string(job.run.steps) +
-                           " (a job must run at least one step)");
-    }
-    job.run.system.validate();
     return job;
   } catch (const run::SpecError&) {
     throw;

@@ -2,6 +2,7 @@
 // generation through the SPMD engine to the Section 4 analysis machinery.
 #include "ddm/parallel_md.hpp"
 #include "md/serial_md.hpp"
+#include "run/trajectory.hpp"
 #include "support/test_workloads.hpp"
 #include "theory/bounds.hpp"
 #include "theory/effective_range.hpp"
@@ -20,13 +21,13 @@ TEST(Pipeline, PaperSystemThroughParallelEngineAndAnalysis) {
   spec.density = 0.384;
   spec.seed = 21;
 
-  theory::MdTrajectoryConfig config;
-  config.spec = spec;
+  run::RunSpec config;
+  config.system = spec;
   config.steps = 60;
   config.dlb_enabled = true;
-  const auto result = theory::run_md_trajectory(config);
+  const auto result = run::run_trajectory(config);
 
-  ASSERT_EQ(result.t_step.size(), 60u);
+  ASSERT_EQ(result.rows.size(), 60u);
   ASSERT_EQ(result.concentration.size(), 60u);
   // Concentration metrics are well-formed and the bound applies to them.
   for (const auto& sample : result.concentration) {
@@ -37,28 +38,29 @@ TEST(Pipeline, PaperSystemThroughParallelEngineAndAnalysis) {
   }
   // The boundary detector runs cleanly on MD series (found or not).
   const auto point = theory::extract_boundary_point(
-      result.f_max, result.f_min, result.f_avg, result.concentration, spec.m);
+      result.rows, result.concentration, spec.m);
   if (point.found) {
     EXPECT_GE(point.step, 0);
   }
 }
 
 TEST(Pipeline, ParallelRunIsReproducible) {
-  theory::MdTrajectoryConfig config;
-  config.spec.pe_count = 9;
-  config.spec.m = 2;
-  config.spec.density = 0.256;
-  config.spec.seed = 33;
+  run::RunSpec config;
+  config.system.pe_count = 9;
+  config.system.m = 2;
+  config.system.density = 0.256;
+  config.system.seed = 33;
   config.steps = 40;
   config.dlb_enabled = true;
-  const auto a = theory::run_md_trajectory(config);
-  const auto b = theory::run_md_trajectory(config);
-  for (std::size_t i = 0; i < a.t_step.size(); ++i) {
-    EXPECT_EQ(a.t_step[i], b.t_step[i]) << "step " << i;
-    EXPECT_EQ(a.f_max[i], b.f_max[i]);
+  const auto a = run::run_trajectory(config);
+  const auto b = run::run_trajectory(config);
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    EXPECT_EQ(a.rows[i].t_step, b.rows[i].t_step) << "step " << i;
+    EXPECT_EQ(a.rows[i].force_max, b.rows[i].force_max);
+    EXPECT_EQ(a.rows[i].transfers, b.rows[i].transfers);
     EXPECT_EQ(a.concentration[i].c0_ratio, b.concentration[i].c0_ratio);
   }
-  EXPECT_EQ(a.transfers_total, b.transfers_total);
 }
 
 TEST(Pipeline, GatheredParticlesFeedClusterAnalysis) {

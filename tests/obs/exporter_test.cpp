@@ -441,9 +441,14 @@ TEST(MetricsRecorder, DeltasAgainstEngineCounters) {
     if (comm.rank() == 1) (void)comm.recv(0, 1);
   });
 
-  MetricsRecorder::StepInput input;
+  // The caller's fields pass through; the engine fields are overwritten.
+  StepMetrics input;
   input.step = 1;
+  input.imbalance = 0.25;
+  input.messages = 99;
   const auto& row1 = recorder.record(input);
+  EXPECT_EQ(row1.step, 1);
+  EXPECT_EQ(row1.imbalance, 0.25);
   EXPECT_EQ(row1.messages, 1u);
   EXPECT_EQ(row1.bytes, 100u);
   EXPECT_GT(row1.wait_seconds, 0.0);

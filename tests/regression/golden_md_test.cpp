@@ -6,22 +6,21 @@
 // regenerate the goldens by running with --gtest_filter='*PrintActuals*'
 // after convincing yourself the change is correct.
 #include "obs/metrics.hpp"
-#include "theory/effective_range.hpp"
+#include "run/trajectory.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <numeric>
 
-namespace pcmd::theory {
+namespace pcmd::run {
 namespace {
 
-MdTrajectoryConfig golden_config() {
-  MdTrajectoryConfig config;
-  config.spec.pe_count = 9;
-  config.spec.m = 2;
-  config.spec.density = 0.384;
-  config.spec.seed = 7;
+RunSpec golden_config() {
+  RunSpec config;
+  config.system.pe_count = 9;
+  config.system.m = 2;
+  config.system.density = 0.384;
+  config.system.seed = 7;
   config.steps = 60;
   config.dlb_enabled = true;
   return config;
@@ -33,16 +32,15 @@ struct GoldenSummary {
   double mean_spread = 0.0;         // mean of Fmax - Fmin over all steps
 };
 
-GoldenSummary summarize(const MdTrajectoryResult& result) {
+GoldenSummary summarize(const TrajectoryResult& result) {
   GoldenSummary s;
-  const auto& last = result.metrics.back();
+  const auto& last = result.rows.back();
   s.final_total_energy = last.potential_energy + last.kinetic_energy;
-  s.makespan =
-      std::accumulate(result.t_step.begin(), result.t_step.end(), 0.0);
-  for (std::size_t i = 0; i < result.f_max.size(); ++i) {
-    s.mean_spread += result.f_max[i] - result.f_min[i];
+  for (const auto& row : result.rows) {
+    s.makespan += row.t_step;
+    s.mean_spread += row.force_max - row.force_min;
   }
-  s.mean_spread /= static_cast<double>(result.f_max.size());
+  s.mean_spread /= static_cast<double>(result.rows.size());
   return s;
 }
 
@@ -61,8 +59,8 @@ void expect_near_rel(double actual, double golden, const char* what) {
 }
 
 TEST(GoldenMd, SummaryMatchesCommittedGoldens) {
-  const auto result = run_md_trajectory(golden_config());
-  ASSERT_EQ(result.metrics.size(), 60u);
+  const auto result = run_trajectory(golden_config());
+  ASSERT_EQ(result.rows.size(), 60u);
   const auto s = summarize(result);
   expect_near_rel(s.final_total_energy, kGoldenTotalEnergy, "total energy");
   expect_near_rel(s.makespan, kGoldenMakespan, "makespan");
@@ -70,39 +68,33 @@ TEST(GoldenMd, SummaryMatchesCommittedGoldens) {
 }
 
 TEST(GoldenMd, MetricsRowsMirrorAdHocSeries) {
-  // The CSV metrics path must carry exactly the numbers the ad-hoc vectors
-  // (the pre-observability outputs) carry — bitwise, not approximately.
-  const auto result = run_md_trajectory(golden_config());
-  ASSERT_EQ(result.metrics.size(), result.t_step.size());
-  int transfers = 0;
-  for (std::size_t i = 0; i < result.metrics.size(); ++i) {
-    const auto& row = result.metrics[i];
+  // The CSV rows and the concentration series (the one per-step column kept
+  // outside them) cover the same steps, 1-based, with live engine counters.
+  const auto result = run_trajectory(golden_config());
+  ASSERT_EQ(result.rows.size(), result.concentration.size());
+  for (std::size_t i = 0; i < result.rows.size(); ++i) {
+    const auto& row = result.rows[i];
     EXPECT_EQ(row.step, static_cast<std::int64_t>(i) + 1);  // 1-based steps
-    EXPECT_EQ(row.t_step, result.t_step[i]);
-    EXPECT_EQ(row.force_max, result.f_max[i]);
-    EXPECT_EQ(row.force_avg, result.f_avg[i]);
-    EXPECT_EQ(row.force_min, result.f_min[i]);
+    EXPECT_EQ(row.step, result.concentration[i].step);
     EXPECT_GE(row.force_max, row.force_min);
     EXPECT_GT(row.messages, 0u);
     EXPECT_GT(row.bytes, 0u);
     EXPECT_GE(row.wait_seconds, 0.0);
     EXPECT_GE(row.collective_seconds, 0.0);
     EXPECT_GT(row.temperature, 0.0);
-    transfers += row.transfers;
   }
-  EXPECT_EQ(transfers, result.transfers_total);
 }
 
 TEST(GoldenMd, RunIsBitwiseReproducible) {
-  const auto a = run_md_trajectory(golden_config());
-  const auto b = run_md_trajectory(golden_config());
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (std::size_t i = 0; i < a.metrics.size(); ++i) {
-    EXPECT_EQ(a.metrics[i].t_step, b.metrics[i].t_step) << "step " << i;
-    EXPECT_EQ(a.metrics[i].potential_energy, b.metrics[i].potential_energy);
-    EXPECT_EQ(a.metrics[i].wait_seconds, b.metrics[i].wait_seconds);
-    EXPECT_EQ(a.metrics[i].messages, b.metrics[i].messages);
-    EXPECT_EQ(a.metrics[i].bytes, b.metrics[i].bytes);
+  const auto a = run_trajectory(golden_config());
+  const auto b = run_trajectory(golden_config());
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    EXPECT_EQ(a.rows[i].t_step, b.rows[i].t_step) << "step " << i;
+    EXPECT_EQ(a.rows[i].potential_energy, b.rows[i].potential_energy);
+    EXPECT_EQ(a.rows[i].wait_seconds, b.rows[i].wait_seconds);
+    EXPECT_EQ(a.rows[i].messages, b.rows[i].messages);
+    EXPECT_EQ(a.rows[i].bytes, b.rows[i].bytes);
   }
 }
 
@@ -110,7 +102,7 @@ TEST(GoldenMd, RunIsBitwiseReproducible) {
 // form. Run with --gtest_also_run_disabled_tests (or filter *PrintActuals*)
 // to regenerate the constants above after an intentional change.
 TEST(GoldenMd, DISABLED_PrintActuals) {
-  const auto s = summarize(run_md_trajectory(golden_config()));
+  const auto s = summarize(run_trajectory(golden_config()));
   std::printf("constexpr double kGoldenTotalEnergy = %.17g;\n",
               s.final_total_energy);
   std::printf("constexpr double kGoldenMakespan = %.17g;\n", s.makespan);
@@ -118,4 +110,4 @@ TEST(GoldenMd, DISABLED_PrintActuals) {
 }
 
 }  // namespace
-}  // namespace pcmd::theory
+}  // namespace pcmd::run

@@ -247,6 +247,10 @@ TEST(RunSpecParser, DegradeBadTokenNamesFlagTokenAndGrammar) {
                   {"--degrade", "bogus=1", "rank=K,at=T"});
   expect_rejected([] { (void)parse({"--degrade", "rank=x,at=0.1"}); },
                   {"--degrade", "rank=x", "rank=K,at=T"});
+  // Out of int range, not truncated to rank 4.
+  expect_rejected(
+      [] { (void)parse({"--degrade", "rank=4294967300,at=0.1"}); },
+      {"--degrade", "rank=4294967300"});
 }
 
 TEST(RunSpecParser, DegradeMissingKeyRejected) {
@@ -271,6 +275,39 @@ TEST(RunSpecParser, MalformedNumericsRejected) {
 TEST(RunSpecParser, MalformedFaultPlanRejected) {
   expect_rejected([] { (void)parse({"--faults", "drop=lots"}); },
                   {"drop=lots"});
+}
+
+TEST(RunSpecParser, OutOfRangeRunValuesAreRejected) {
+  expect_rejected([] { (void)parse({"--steps", "0"}); }, {"--steps", "0"});
+  expect_rejected([] { (void)parse({"--steps", "-3"}); }, {"--steps", "-3"});
+  expect_rejected([] { (void)parse({"--m", "0"}); }, {"--m", "0"});
+  expect_rejected([] { (void)parse({"--m", "1"}); }, {"--m", "1"});
+  expect_rejected([] { (void)parse({"--m", "100000"}); },
+                  {"--m", "100000", "budget"});
+  expect_rejected([] { (void)parse({"--density", "1e9"}); },
+                  {"--density", "1e+09", "budget"});
+  expect_rejected([] { (void)parse({"--density", "nan"}); }, {"--density"});
+  expect_rejected([] { (void)parse({"--density", "-0.2"}); },
+                  {"non-positive"});
+  // Not truncated to m = 2 or to 0 spares.
+  expect_rejected([] { (void)parse({"--m", "4294967298"}); },
+                  {"--m", "4294967298", "range"});
+  expect_rejected([] { (void)parse({"--spares", "4294967296"}); },
+                  {"--spares", "4294967296", "range"});
+  expect_rejected(
+      [] { (void)parse({"--spares", "100", "--buddy-every", "2"}); },
+      {"--spares", "100"});
+}
+
+TEST(RunSpecParser, BudgetAdmitsThePaperScaleStudy) {
+  // P = 4096, m = 2, rho* = 0.256: 2.1M cells, about 8.4M particles. Only
+  // validated here, never built.
+  RunSpec spec;
+  spec.with_pe_count(4096).with_m(2).with_density(0.256);
+  EXPECT_NO_THROW(spec.validate());
+  EXPECT_GT(spec.system.particle_count(), 8'000'000);
+  EXPECT_LE(spec.system.particle_count(), kMaxParticles);
+  EXPECT_LE(spec.system.total_cells(), kMaxCells);
 }
 
 }  // namespace

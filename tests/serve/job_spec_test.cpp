@@ -111,6 +111,8 @@ TEST(JobSpec, MalformedFlagsThrowNamingFlagAndToken) {
   expect_rejected([] { JobSpec::parse("--pe 7 --m 2"); },
                   {"pe_count", "7", "square"});
   expect_rejected([] { JobSpec::parse("--pe 9 --m 1"); }, {"m", "2"});
+  expect_rejected([] { JobSpec::parse("--pe 4294967305 --m 2"); },
+                  {"--pe", "4294967305", "range"});
   expect_rejected([] { JobSpec::parse("--priority urgent"); },
                   {"--priority", "urgent", "high"});
   expect_rejected([] { JobSpec::parse("--engine cuda"); },
